@@ -5,12 +5,13 @@ reproduces ``w`` through the bordered product
 
     w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma),
 
-with out-of-range ``w_star`` indices read as zero.  For a vector with
-nonzero endpoint entries the set of such pairs is finite (at most ``2d-2``
-elements) and, for even ``d``, nonempty.  ``quotient_decompose`` recovers it
-by reducing the componentwise constraints to a single degree ``d-1``
-consistency polynomial with a nonzero constant term, isolating its real
-roots, and keeping every candidate whose reconstruction matches ``w``.
+with out-of-range ``w_star`` indices read as zero: the factorization
+``W(z) = W*(z) (cos(gamma) - z sin(gamma))`` of generating polynomials.  Each
+real root ``r = cot(gamma)`` of ``W`` gives two pairs, so there are at most
+``2d-2``, and at least two for even ``d`` (odd degree).  ``quotient_decompose``
+takes the real roots from companion-matrix eigenvalues, divides each linear
+factor out by synthetic division from the end where the recurrence
+contracts, and checks every quotient by reconstruction.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import DEFAULT_TOL, ToleranceProfile, as_signal
-
-TWO_PI = 2.0 * math.pi
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -48,26 +46,29 @@ def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
     ws = as_signal(w_star)
     if d is not None and d != ws.size + 1:
         raise ValueError(f"w_star has {ws.size} entries, expected d-1 = {d - 1}")
-    ext = np.append(ws, 0.0)
-    prev = np.insert(ws, 0, 0.0)
-    out = math.cos(gamma) * ext - math.sin(gamma) * prev
+    out = _bordered(ws, gamma)
     out.flags.writeable = False
     return out
+
+
+def _bordered(ws: np.ndarray, gamma: float) -> np.ndarray:
+    """The forward map on a trusted 1-D float64 array."""
+    return math.cos(gamma) * np.append(ws, 0.0) - math.sin(gamma) * np.insert(ws, 0, 0.0)
 
 
 def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientElement]:
     """All factor pairs (w_star, gamma) reproducing w, up to tolerance.
 
-    Requires ``|w(1)|`` and ``|w(d)|`` above the tol-scaled threshold.  The
-    returned list has at most ``2d-2`` elements; it is nonempty for even
-    ``d`` and may be legitimately empty for odd ``d``.  Every candidate is
-    verified by reconstruction before inclusion, so the consistency
-    equation is used only as a necessary condition.
+    Requires ``|w(1)|`` and ``|w(d)|`` above the tol-scaled threshold.  Each
+    distinct real root ``r`` of ``W(z) = sum_j w(j) z^(j-1)`` gives the angle
+    ``gamma = atan2(1, r)`` with its quotient ``w_star``, and the mirror
+    ``(-w_star, gamma + pi)``.  The list has at most ``2d-2`` elements; it is
+    nonempty for even ``d`` and may be legitimately empty for odd ``d``.
+    Every quotient is verified by reconstruction before inclusion.
     """
     ws = as_signal(w)
     tol = tol or DEFAULT_TOL
-    d = ws.size
-    if d < 2:
+    if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     accept = tol.threshold(ws)
     if abs(ws[0]) <= accept or abs(ws[-1]) <= accept:
@@ -76,154 +77,45 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
             f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
         )
 
-    if d == 2:
-        # Closed-form boundary case: exactly two elements, related by
-        # flipping the sign of w_star and advancing gamma by pi.
-        r = math.hypot(ws[0], ws[1])
-        gamma = math.atan2(-ws[1] / r, ws[0] / r) % TWO_PI
-        return [
-            QuotientElement(w_star=as_signal([r]), gamma=gamma),
-            QuotientElement(w_star=as_signal([-r]), gamma=(gamma + math.pi) % TWO_PI),
-        ]
-
-    c = ws / ws[-1]
-    c1 = float(c[0])
-
-    # Normalized tail entries s(j) = w_star(j)/w_star(d-1) obey
-    # s(j-1) = c(j) - c(1) * s(j) * t with s(d-1) = 1 and t = 1/s(1).
-    # Substituting tau = c(1) * t keeps the unrolled coefficients free of
-    # c(1)^k growth (they become the normalized input entries, up to sign):
-    # s(j-1) = c(j) - s(j) * tau.  The consistency relation s(1) * t = 1
-    # turns into the degree d-1 equation tau * s(1)(tau) = c(1), whose
-    # constant term -c(1) is nonzero, so every root is nonzero.
-    s_poly = np.array([1.0])
-    for j in range(d - 1, 1, -1):
-        s_poly = np.concatenate(([c[j - 1]], -s_poly))
-    consistency = np.concatenate(([-c1], s_poly))
-
-    elements: list[QuotientElement] = []
-    for t0 in _real_roots(consistency):
-        s = np.empty(d - 1)
-        s[d - 2] = 1.0
-        for j in range(d - 1, 1, -1):
-            s[j - 2] = c[j - 1] - s[j - 1] * t0
-        if s[0] == 0.0:
-            continue
-        tan_gamma = -s[0] / c1
-        if tan_gamma == 0.0 or not math.isfinite(tan_gamma):
-            continue
-        csc_mag = math.sqrt(1.0 + 1.0 / (tan_gamma * tan_gamma))
-        for branch in (1.0, -1.0):
-            sin_g = 1.0 / (branch * csc_mag)
-            cos_g = sin_g / tan_gamma
-            gamma = math.atan2(sin_g, cos_g) % TWO_PI
-            w_star = -s * float(ws[-1]) * (branch * csc_mag)
-            w_star, gamma = _refine_candidate(ws, w_star, gamma)
-            residual = float(np.max(np.abs(reconstruct(w_star, gamma) - ws)))
-            # The acceptance scale includes the candidate itself: a genuine
-            # factor pair with large dynamic range (gamma near a multiple of
-            # pi/2) reconstructs w through cancellation of terms of size
-            # max|w_star|, so its float residual floor is eps * max|w_star|.
-            if residual <= tol.threshold(ws, w_star):
-                elements.append(QuotientElement(w_star=as_signal(w_star), gamma=gamma))
-
-    return _dedupe_elements(elements, tol)
-
-
-def _refine_candidate(
-    ws: np.ndarray, w_star: np.ndarray, gamma: float, max_iters: int = 4
-) -> tuple[np.ndarray, float]:
-    """Newton refinement of a candidate against the forward map itself.
-
-    The consistency-polynomial root locates a candidate only up to the
-    monomial evaluation noise, which grows with the root magnitude and the
-    degree; iterating on the square system reconstruct(w_star, gamma) = w
-    restores the residual to the representation floor.
-    """
-    d = ws.size
-    w_star = np.array(w_star, dtype=float)
-    for _ in range(max_iters):
-        cg, sg = math.cos(gamma), math.sin(gamma)
-        ext = np.append(w_star, 0.0)
-        prev = np.insert(w_star, 0, 0.0)
-        residual = cg * ext - sg * prev - ws
-        if float(np.max(np.abs(residual))) <= 4.0 * np.finfo(float).eps * float(
-            np.max(np.abs(w_star))
-        ):
-            break
-        jac = np.zeros((d, d))
-        idx = np.arange(d - 1)
-        jac[idx, idx] = cg
-        jac[idx + 1, idx] = -sg
-        jac[:, d - 1] = -sg * ext - cg * prev
-        try:
-            delta = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
-        w_star = w_star + delta[: d - 1]
-        gamma = gamma + float(delta[d - 1])
-    return w_star, gamma % TWO_PI
-
-
-def _real_roots(coeffs_low_to_high: np.ndarray) -> list[float]:
-    """Real roots via balanced-companion eigenvalues plus Newton polishing."""
-    coeffs = np.asarray(coeffs_low_to_high, dtype=float)
     try:
-        raw = np.roots(coeffs[::-1])
+        roots = np.roots(ws[::-1])
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalue solver failed: {exc}") from exc
-    deriv = npoly.polyder(coeffs)
-    polished = []
-    for r in raw:
-        if abs(r.imag) > _REAL_BAND * (1.0 + abs(r.real)):
-            continue
-        polished.append(_newton_polish(coeffs, deriv, float(r.real)))
-    polished.sort()
-    merged: list[float] = []
-    for r in polished:
-        if merged and abs(r - merged[-1]) <= _ROOT_MERGE * (1.0 + abs(r)):
-            continue
-        merged.append(r)
-    return merged
-
-
-def _newton_polish(coeffs, deriv, t: float, max_steps: int = 12) -> float:
-    for _ in range(max_steps):
-        ft = npoly.polyval(t, coeffs)
-        if ft == 0.0:
-            return t
-        dt = npoly.polyval(t, deriv)
-        if dt == 0.0:
-            return t
-        step = ft / dt
-        cand = t - step
-        for _ in range(20):  # damping: never accept an increase in |f|
-            if abs(npoly.polyval(cand, coeffs)) <= abs(ft):
-                break
-            step *= 0.5
-            cand = t - step
+    real = sorted(
+        float(r.real) for r in roots if abs(r.imag) <= _REAL_BAND * (1.0 + abs(r.real))
+    )
+    elements: list[QuotientElement] = []
+    kept = -math.inf
+    for r in real:
+        if r - kept <= _ROOT_MERGE * (1.0 + abs(r)):
+            continue  # near-duplicate of the last kept root
+        kept = r
+        gamma = math.atan2(1.0, r)
+        a, b = math.cos(gamma), -math.sin(gamma)
+        # Divide from the end where the recurrence contracts: an error grows
+        # by |b/a| = 1/|r| per step from the low end and by |r| from the high.
+        if abs(r) > 1.0:
+            w_star = _divide_low(ws, a, b)
         else:
-            return t
-        if cand == t:
-            return t
-        t = cand
-    return t
+            w_star = _divide_low(ws[::-1], b, a)[::-1]
+        if not np.all(np.isfinite(w_star)):
+            continue
+        residual = float(np.max(np.abs(_bordered(w_star, gamma) - ws)))
+        # The acceptance scale includes the quotient itself: a genuine
+        # factor pair with large dynamic range (gamma near a multiple of
+        # pi/2) reconstructs w through cancellation of terms of size
+        # max|w_star|, so its float residual floor is eps * max|w_star|.
+        if residual <= tol.threshold(ws, w_star):
+            for sign, angle in ((1.0, gamma), (-1.0, gamma + math.pi)):
+                factor = sign * w_star
+                factor.flags.writeable = False
+                elements.append(QuotientElement(w_star=factor, gamma=angle))
+    return elements
 
 
-def _dedupe_elements(
-    elements: list[QuotientElement], tol: ToleranceProfile
-) -> list[QuotientElement]:
-    unique: list[QuotientElement] = []
-    for e in elements:
-        duplicate = False
-        for kept in unique:
-            gamma_gap = abs(e.gamma - kept.gamma) % TWO_PI
-            gamma_gap = min(gamma_gap, TWO_PI - gamma_gap)
-            if gamma_gap <= _ROOT_MERGE and np.max(
-                np.abs(e.w_star - kept.w_star)
-            ) <= tol.threshold(e.w_star, kept.w_star):
-                duplicate = True
-                break
-        if not duplicate:
-            unique.append(e)
-    return unique
+def _divide_low(ws: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The quotient q of ws = conv(q, (a, b)), solved from the low end."""
+    q = [0.0]
+    for wj in ws[:-1].tolist():
+        q.append((wj - b * q[-1]) / a)
+    return np.array(q[1:])

@@ -18,6 +18,7 @@ from ambiconv import (
     verify_pair,
 )
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
+from ambiconv.trials import sample_signal
 from oracles import convolve_brute
 
 
@@ -159,6 +160,13 @@ class TestAttack:
             scale = np.max(np.abs(convolve(x, y)))
             assert pair.residual <= 1e-8 * scale
             assert pair.collinearity <= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("d", [32, 64, 128])
+    def test_large_orders_certify(self, d):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x, y = sample_signal(rng, d), sample_signal(rng, d)
+            assert verify_pair(attack(x, y)).certifies_unidentifiability
 
     def test_rejects_odd_or_small_orders(self):
         with pytest.raises(ValueError):

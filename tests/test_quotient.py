@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambiconv import ToleranceProfile, quotient_decompose, reconstruct
+from ambiconv.trials import sample_signal
 from oracles import convolve_brute
 
 
@@ -101,17 +102,37 @@ class TestDecompose:
         for e in quotient_decompose(w, tol):
             assert residual(w, e) <= tol.threshold(w, e.w_star)
 
-    def test_large_dynamic_range_element_is_kept(self):
-        # An angle close to pi/2 makes the factor entries span many orders
-        # of magnitude; the element must still be recovered.
-        w_star = np.array([1.0e5, 3.0e3, 90.0, 2.5, 1.0])
-        gamma = math.pi / 2 - 1e-4
+    @pytest.mark.parametrize(
+        "w_star, gamma",
+        [
+            ([1.0e5, 3.0e3, 90.0, 2.5, 1.0], math.pi / 2 - 1e-4),
+            ([1.0, 2.5, 90.0, 3.0e3, 1.0e5], 1e-4),
+            ([1.0, 2.5, 90.0, 3.0e3, 1.0e5], math.pi + 1e-4),
+        ],
+        ids=["near_half_pi", "near_zero", "near_pi"],
+    )
+    def test_large_dynamic_range_element_is_kept(self, w_star, gamma):
+        # An angle close to a multiple of pi/2 makes the factor entries span
+        # many orders of magnitude; the element must still be recovered.
+        # Near pi/2 the root of W is tiny, near 0 or pi it is huge, so the
+        # cases cover division from both ends.
+        w_star = np.array(w_star)
         w = reconstruct(w_star, gamma)
         assert abs(w[0]) > 1e-3  # endpoints stay usable
         elements = quotient_decompose(w)
         assert elements
         best = min(residual(w, e) for e in elements)
         assert best <= 1e-9 * np.max(np.abs(w_star))
+
+    @pytest.mark.parametrize("d", [32, 64, 128])
+    def test_large_orders_nonempty_and_accurate(self, d):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            w = sample_signal(rng, d)
+            elements = quotient_decompose(w)
+            assert 0 < len(elements) <= 2 * d - 2
+            scale = np.max(np.abs(w))
+            assert all(residual(w, e) <= 1e-9 * scale for e in elements)
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(123)
