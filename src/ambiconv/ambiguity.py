@@ -27,12 +27,12 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _finite_scalar,
     as_signal,
-    convolve,
     signal_from_json,
     signal_to_json,
 )
-from .quotient import QuotientElement, quotient_decompose, reconstruct
+from .quotient import QuotientElement, _bordered, _decompose
 
 # Angle combinations closer than this to the degenerate set (cos(phi) = 0 or
 # phi = theta mod pi) are skipped during the attack's candidate search.
@@ -106,9 +106,19 @@ def collinearity(a, b) -> float:
     av, bv = as_signal(a), as_signal(b)
     if av.size != bv.size:
         raise ValueError("signals must have equal length")
-    na, nb = float(np.linalg.norm(av)), float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
+    return _collinearity(av, bv)
+
+
+def _collinearity(av: np.ndarray, bv: np.ndarray) -> float:
+    """``collinearity`` of trusted equal-length arrays.  Each is first scaled
+    by the power of two of its peak (exact in binary floating point), so the
+    dot products neither underflow nor overflow at any finite scale."""
+    peak_a, peak_b = float(np.max(np.abs(av))), float(np.max(np.abs(bv)))
+    if peak_a == 0.0 or peak_b == 0.0:
         return 0.0
+    av = np.ldexp(av, -math.frexp(peak_a)[1])
+    bv = np.ldexp(bv, -math.frexp(peak_b)[1])
+    na, nb = float(np.linalg.norm(av)), float(np.linalg.norm(bv))
     return min(1.0, abs(float(av @ bv)) / (na * nb))
 
 
@@ -128,9 +138,10 @@ def rotational_family(
     """
     x1s, x2s = as_signal(x1), as_signal(x2)
     y1s, y2s = as_signal(y1), as_signal(y2)
+    theta, phi = _finite_scalar(theta, "theta"), _finite_scalar(phi, "phi")
     tol = tol or DEFAULT_TOL
-    z1 = convolve(x1s, y1s)
-    z2 = convolve(x2s, y2s)
+    z1 = np.convolve(x1s, y1s)
+    z2 = np.convolve(x2s, y2s)
     if float(np.max(np.abs(z1 - z2))) > tol.threshold(z1, z2):
         raise ValueError("seed condition violated: convolve(x1, y1) != convolve(x2, y2)")
     if abs(math.sin(theta - phi)) <= DEGENERACY_EPS:
@@ -172,14 +183,14 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
         )
     x_alt.flags.writeable = False
     y_alt.flags.writeable = False
-    residual = float(np.max(np.abs(convolve(xs, ys) - convolve(x_alt, y_alt))))
+    residual = float(np.max(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt))))
     return AmbiguousPair(
         x=xs,
         y=ys,
         x_alt=x_alt,
         y_alt=y_alt,
         residual=residual,
-        collinearity=collinearity(xs, x_alt),
+        collinearity=_collinearity(xs, x_alt),
     )
 
 
@@ -191,10 +202,7 @@ def bordered_y_form(v, angle: float) -> np.ndarray:
     the decomposition solver for the second signal; the test suite validates
     it against the forward map.
     """
-    vs = as_signal(v)
-    lead = np.insert(vs, 0, 0.0)
-    trail = np.append(vs, 0.0)
-    out = math.sin(angle) * lead - math.cos(angle) * trail
+    out = -_bordered(as_signal(v), _finite_scalar(angle, "angle"))
     out.flags.writeable = False
     return out
 
@@ -231,8 +239,8 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
                     "for the decomposition (the border zero patterns are handled "
                     "by shift_ambiguity instead)"
                 )
-    x_elements = quotient_decompose(xs, tol)
-    y_elements = quotient_decompose(-ys, tol)
+    x_elements = _decompose(xs, tol)
+    y_elements = _decompose(-ys, tol)
     # Well-conditioned elements first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
@@ -247,7 +255,7 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
                 continue
             if abs(math.sin(phi - theta)) <= DEGENERACY_EPS:
                 continue
-            coll = collinearity(xs, reconstruct(xe.w_star, phi))
+            coll = _collinearity(xs, _bordered(xe.w_star, phi))
             if coll <= ATTACK_COLLINEARITY_BOUND:
                 return _assemble_attack_pair(xs, ys, xe, ye, tol)
             # Two decompositions can share an angle by accident; keep the
@@ -271,22 +279,24 @@ def _assemble_attack_pair(
     tol: ToleranceProfile,
 ) -> AmbiguousPair:
     # Guard the derived identity on this instance: y must equal its
-    # column-bordered form at the decomposed angle (same scale convention
-    # as the decomposition filter, which includes the factor itself).
-    y_rebuilt = bordered_y_form(ye.w_star, ye.gamma)
+    # column-bordered form -_bordered(v, gamma) at the decomposed angle (same
+    # scale convention as the decomposition filter, which includes the factor
+    # itself).
+    y_rebuilt = -_bordered(ye.w_star, ye.gamma)
     if float(np.max(np.abs(ys - y_rebuilt))) > tol.threshold(ys, ye.w_star):
         raise AttackSearchError("y-form identity violated for a decomposition element")
-    x_alt = reconstruct(xe.w_star, ye.gamma)
-    y_alt = bordered_y_form(ye.w_star, xe.gamma)
-    z = convolve(xs, ys)
-    residual = float(np.max(np.abs(z - convolve(x_alt, y_alt))))
+    x_alt = _bordered(xe.w_star, ye.gamma)
+    y_alt = -_bordered(ye.w_star, xe.gamma)
+    x_alt.flags.writeable = False
+    y_alt.flags.writeable = False
+    residual = float(np.max(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt))))
     return AmbiguousPair(
         x=xs,
         y=ys,
         x_alt=x_alt,
         y_alt=y_alt,
         residual=residual,
-        collinearity=collinearity(xs, x_alt),
+        collinearity=_collinearity(xs, x_alt),
     )
 
 
@@ -298,12 +308,14 @@ def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> Pai
     equivalence ``(a x, y / a)`` have collinearity one and never certify.
     """
     tol = tol or DEFAULT_TOL
-    if pair.x.size != pair.x_alt.size or pair.y.size != pair.y_alt.size:
+    x, y = as_signal(pair.x), as_signal(pair.y)
+    x_alt, y_alt = as_signal(pair.x_alt), as_signal(pair.y_alt)
+    if x.size != x_alt.size or y.size != y_alt.size:
         raise ValueError("certificate pair dimensions do not match the original pair")
-    z = convolve(pair.x, pair.y)
-    z_alt = convolve(pair.x_alt, pair.y_alt)
+    z = np.convolve(x, y)
+    z_alt = np.convolve(x_alt, y_alt)
     residual = float(np.max(np.abs(z - z_alt)))
-    coll = collinearity(pair.x, pair.x_alt)
+    coll = _collinearity(x, x_alt)
     certifies = residual <= tol.threshold(z) and coll < 1.0 - COLLINEARITY_MARGIN
     return PairReport(
         residual=residual, collinearity=coll, certifies_unidentifiability=certifies

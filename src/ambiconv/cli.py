@@ -15,12 +15,12 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import reference
 from . import trials as trials_mod
-from ._kernels import BACKEND
 from .ambiguity import (
     AmbiguousPair,
     AttackSearchError,
@@ -39,6 +39,7 @@ from .core import (
     signal_to_json,
 )
 from .nullspace import (
+    GenerationError,
     M2Certificate,
     certificate_to_json,
     classify,
@@ -96,23 +97,22 @@ def _tol(args) -> ToleranceProfile:
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+    # Refuse before opening --out, so a refused request leaves the file alone.
+    if args.format == "csv" and csv_rows is None:
+        raise InputError("no-csv", "this command only supports --format json")
     try:
+        fh = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError("bad-output", str(exc), args.out) from exc
+    with fh as out:
         if args.format == "json":
             out.write(json.dumps(payload, indent=2, sort_keys=True))
             out.write("\n")
         else:
-            if csv_rows is None:
-                raise InputError(
-                    "no-csv", "this command only supports --format json"
-                )
             writer = csv.writer(out, lineterminator="\n")
             if csv_header:
                 writer.writerow(csv_header)
             writer.writerows(csv_rows)
-    finally:
-        if args.out is not None:
-            out.close()
 
 
 # --- command handlers --------------------------------------------------------
@@ -268,11 +268,6 @@ def _cmd_trials(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
-def _cmd_backend(args) -> int:
-    _emit({"backend": BACKEND}, args)
-    return EXIT_OK
-
-
 # --- parser ------------------------------------------------------------------
 
 
@@ -357,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include wall times (breaks byte-for-byte determinism)",
     )
 
-    add("backend", _cmd_backend, "report which kernel backend is active")
-
     return parser
 
 
@@ -375,6 +368,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except RootFindingError as exc:
         _structured_error("root-finding-failed", str(exc))
+        return EXIT_CHECK_FAILED
+    except GenerationError as exc:
+        _structured_error("generation-failed", str(exc))
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         _structured_error("invalid-input", str(exc))

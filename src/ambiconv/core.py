@@ -4,17 +4,17 @@ The lifted operator maps an ``m x n`` matrix to the length ``m+n-1`` vector
 of its anti-diagonal sums; on a rank-one matrix ``outer(x, y)`` it reproduces
 the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
-because all values remain far below 2**53.
+because all values remain far below 2**53.  Both primitives are numpy only:
+``np.convolve`` and one ``np.bincount`` over the anti-diagonal indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from ._kernels import convolve_raw, lift_raw
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,14 @@ def as_signal(x) -> np.ndarray:
     return arr
 
 
+def _finite_scalar(value, name: str) -> float:
+    """Validate a scalar parameter as a finite float, naming it on failure."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite, got {out}")
+    return out
+
+
 def as_matrix(w) -> np.ndarray:
     """Validate and return a matrix as an immutable 2-D float64 array."""
     arr = np.array(w, dtype=float, copy=True)
@@ -70,11 +78,9 @@ def as_matrix(w) -> np.ndarray:
 def convolve(x, y) -> np.ndarray:
     """Linear convolution of two signals, output length m+n-1.
 
-    Bilinear and commutative; exact on integer-valued inputs.
+    Bilinear and commutative; exact on integer-valued inputs (``np.convolve``).
     """
-    xs = as_signal(x)
-    ys = as_signal(y)
-    out = convolve_raw(xs, ys)
+    out = np.convolve(as_signal(x), as_signal(y))
     out.flags.writeable = False
     return out
 
@@ -91,10 +97,17 @@ def lift_apply(w) -> np.ndarray:
 
     Satisfies ``lift_apply(outer(x, y)) == convolve(x, y)``.
     """
-    ws = as_matrix(w)
-    out = lift_raw(ws)
+    out = _lift(as_matrix(w))
     out.flags.writeable = False
     return out
+
+
+def _lift(w: np.ndarray) -> np.ndarray:
+    """``lift_apply`` on a trusted 2-D float64 array (one ``bincount`` over
+    k+l, accumulating each anti-diagonal in row-major order)."""
+    m, n = w.shape
+    idx = (np.arange(m)[:, None] + np.arange(n)[None, :]).ravel()
+    return np.bincount(idx, weights=w.ravel(), minlength=m + n - 1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,9 @@ class LiftedConvOp:
             raise ValueError(
                 f"matrix shape {ws.shape} does not match operator ({self.m}, {self.n})"
             )
-        return lift_apply(ws)
+        out = _lift(ws)
+        out.flags.writeable = False
+        return out
 
     def basis(self) -> list[np.ndarray]:
         return hankel_basis(self.m, self.n)

@@ -26,12 +26,16 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
-    antidiagonal_shift,
+    _finite_scalar,
+    _lift,
     as_matrix,
     as_signal,
-    lift_apply,
     rank_estimate,
 )
+
+
+class GenerationError(RuntimeError):
+    """The seeded generator found no usable draw within its attempt budget."""
 
 
 # --- certificates ------------------------------------------------------------
@@ -152,10 +156,8 @@ def n0_element(u, v) -> np.ndarray:
     cancel pairwise (exactly for integer-valued inputs) and its rank is at
     most two.
     """
-    top, bottom = antidiagonal_shift(np.outer(as_signal(u), as_signal(v)))
-    q = top - bottom
-    q.flags.writeable = False
-    return q
+    block = np.outer(as_signal(u), as_signal(v))
+    return _corner_embed(block, -block)
 
 
 def _corner_embed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +185,7 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     if u1s.size != u2s.size or v1s.size != v2s.size:
         raise ValueError("factor lengths must agree pairwise")
     inner = np.outer(u1s, v1s) + np.outer(u2s, v2s)
-    image = lift_apply(inner)
+    image = _lift(inner)
     bound = tol.rel_tol * float(np.max(np.abs(inner))) if inner.any() else 0.0
     if np.max(np.abs(image)) > bound:
         raise ValueError(
@@ -191,6 +193,12 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
             f"kernel (|image| = {np.max(np.abs(image)):.3e} > {bound:.3e})"
         )
     return _corner_embed(np.outer(u1s, v1s), np.outer(u2s, v2s))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark an array the package computed itself as immutable; return it."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _pow2_rebalance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +216,7 @@ def _draw_vector(rng: np.random.Generator, size: int, attempts: int = 64) -> np.
         vec = rng.uniform(-1.0, 1.0, size)
         if np.max(np.abs(vec)) >= 0.3:
             return vec
-    raise RuntimeError(f"no usable random vector after {attempts} draws")
+    raise GenerationError(f"no usable random vector after {attempts} draws")
 
 
 def _draw_mixing(rng: np.random.Generator, attempts: int = 64) -> np.ndarray:
@@ -216,13 +224,13 @@ def _draw_mixing(rng: np.random.Generator, attempts: int = 64) -> np.ndarray:
         a = rng.uniform(-1.0, 1.0, (2, 2))
         if abs(np.linalg.det(a)) >= 0.2:
             return a
-    raise RuntimeError(f"no invertible mixing matrix after {attempts} draws")
+    raise GenerationError(f"no invertible mixing matrix after {attempts} draws")
 
 
 def _transpose_certificate(cert: NullspaceCertificate) -> NullspaceCertificate:
     # n0(u, v)^T = n0(v, -u); corner embeddings swap under transposition.
     if isinstance(cert, N0Certificate):
-        return N0Certificate(u=cert.v, v=as_signal(-np.asarray(cert.u)))
+        return N0Certificate(u=cert.v, v=_readonly(-cert.u))
     if isinstance(cert, N2Certificate):
         return N2Certificate(
             u1=cert.v2,
@@ -260,26 +268,24 @@ def n2_generate(
         corner = max(abs(matrix[m - 1, 0]), abs(matrix[0, n - 1]))
         if corner > 1e-6 * np.max(np.abs(matrix)):
             return matrix, cert
-    raise RuntimeError("no generated element with a usable corner entry after 64 draws")
+    raise GenerationError("no generated element with a usable corner entry after 64 draws")
 
 
 def _n2_generate_once(
     m: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, NullspaceCertificate]:
-    u0 = _draw_vector(rng, 1)
-    v0 = _draw_vector(rng, n - m + 1)
-    cert: NullspaceCertificate = N0Certificate(u=as_signal(u0), v=as_signal(v0))
+    u0 = _readonly(_draw_vector(rng, 1))
+    v0 = _readonly(_draw_vector(rng, n - m + 1))
+    cert: NullspaceCertificate = N0Certificate(u=u0, v=v0)
     c1, c2 = np.append(u0, 0.0), np.insert(-u0, 0, 0.0)
     r1, r2 = np.insert(v0, 0, 0.0), np.append(v0, 0.0)
     for _ in range(m - 2):
         a = _draw_mixing(rng)
         cols = np.column_stack([c1, c2]) @ a
         rows = np.linalg.solve(a, np.vstack([r1, r2]))
-        u1, v1 = _pow2_rebalance(cols[:, 0], rows[0])
-        u2, v2 = _pow2_rebalance(cols[:, 1], rows[1])
-        cert = N2Certificate(
-            u1=as_signal(u1), u2=as_signal(u2), v1=as_signal(v1), v2=as_signal(v2), inner=cert
-        )
+        u1, v1 = map(_readonly, _pow2_rebalance(cols[:, 0], rows[0]))
+        u2, v2 = map(_readonly, _pow2_rebalance(cols[:, 1], rows[1]))
+        cert = N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=cert)
         c1, c2 = np.append(u1, 0.0), np.insert(u2, 0, 0.0)
         r1, r2 = np.insert(v1, 0, 0.0), np.append(v2, 0.0)
     matrix = np.outer(c1, r1) + np.outer(c2, r2)
@@ -297,7 +303,7 @@ def m2_element(u, lam: float) -> np.ndarray:
     us = as_signal(u)
     if not us.any():
         raise ValueError("u must be nonzero")
-    lam = float(lam)
+    lam = _finite_scalar(lam, "lam")
     if lam == 0.0:
         raise ValueError("lambda must be nonzero")
     n = us.size + 2
@@ -343,7 +349,7 @@ def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
     tol = tol or DEFAULT_TOL
     if rank_estimate(ws, tol) > 2:
         return False
-    return float(np.max(np.abs(lift_apply(ws)))) <= tol.threshold(ws)
+    return float(np.max(np.abs(_lift(ws)))) <= tol.threshold(ws)
 
 
 # --- structural classifier ---------------------------------------------------
@@ -380,7 +386,7 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile) -> NullspaceCertificate
     # Two-row (two-column) elements always factor as bordered products:
     # row 1 is (0, v) and row 2 is (-v, 0), regardless of corner entries.
     if m == 2:
-        return N0Certificate(u=as_signal([1.0]), v=as_signal(w[0, 1:]))
+        return N0Certificate(u=_readonly(np.ones(1)), v=_readonly(w[0, 1:]))
     if n == 2:
         return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol))
 
@@ -420,24 +426,19 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile) -> NullspaceCertificate
     v2 = coeffs[1, : n - 1]  # trailing entry of the second row factor likewise
 
     inner = np.outer(u1, v1) + np.outer(u2, v2)
+    u1, u2, v1, v2 = map(_readonly, (u1, u2, v1, v2))
     if float(np.max(np.abs(inner))) <= thresh:
-        return N0Certificate(u=as_signal(u1), v=as_signal(v1))
-    return N2Certificate(
-        u1=as_signal(u1),
-        u2=as_signal(u2),
-        v1=as_signal(v1),
-        v2=as_signal(v2),
-        inner=_classify_cert(inner, tol),
-    )
+        return N0Certificate(u=u1, v=v1)
+    return N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=_classify_cert(inner, tol))
 
 
 def _pad_first_u(cert: NullspaceCertificate) -> NullspaceCertificate:
     if isinstance(cert, N0Certificate):
-        return N0Certificate(u=as_signal(np.insert(cert.u, 0, 0.0)), v=cert.v)
+        return N0Certificate(u=_readonly(np.insert(cert.u, 0, 0.0)), v=cert.v)
     if isinstance(cert, N2Certificate):
         return N2Certificate(
-            u1=as_signal(np.insert(cert.u1, 0, 0.0)),
-            u2=as_signal(np.insert(cert.u2, 0, 0.0)),
+            u1=_readonly(np.insert(cert.u1, 0, 0.0)),
+            u2=_readonly(np.insert(cert.u2, 0, 0.0)),
             v1=cert.v1,
             v2=cert.v2,
             inner=_pad_first_u(cert.inner),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, as_signal
+from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -46,7 +46,7 @@ def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
     ws = as_signal(w_star)
     if d is not None and d != ws.size + 1:
         raise ValueError(f"w_star has {ws.size} entries, expected d-1 = {d - 1}")
-    out = _bordered(ws, gamma)
+    out = _bordered(ws, _finite_scalar(gamma, "gamma"))
     out.flags.writeable = False
     return out
 
@@ -66,8 +66,11 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     nonempty for even ``d`` and may be legitimately empty for odd ``d``.
     Every quotient is verified by reconstruction before inclusion.
     """
-    ws = as_signal(w)
-    tol = tol or DEFAULT_TOL
+    return _decompose(as_signal(w), tol or DEFAULT_TOL)
+
+
+def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
+    """``quotient_decompose`` on a trusted 1-D float64 array."""
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     accept = tol.threshold(ws)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import attack
-from .core import DEFAULT_TOL, ToleranceProfile, convolve, lift_apply, rank_estimate
+from .core import DEFAULT_TOL, ToleranceProfile, lift_apply, rank_estimate
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
 
@@ -147,7 +147,7 @@ def attack_suite(
         error = None
         try:
             pair = attack(x, y, tol)
-            scale = float(np.max(np.abs(convolve(x, y))))
+            scale = float(np.max(np.abs(np.convolve(x, y))))
             ok = (
                 pair.residual <= ATTACK_RESIDUAL_REL * scale
                 and pair.collinearity <= ATTACK_COLLINEARITY_MAX

@@ -237,6 +237,19 @@ class TestCollinearity:
     def test_zero_vector_returns_zero(self):
         assert collinearity([0.0, 0.0], [1.0, 1.0]) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+    def test_scale_invariant_at_extreme_magnitudes(self, scale):
+        # Plain dot products underflow to 0 near 1e-170 and overflow near
+        # 1e200; neither may change the cosine.
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        b = np.array([1.0, 1.0, 2.0, 1.0])
+        assert collinearity(scale * a, 2 * scale * a) == 1.0
+        assert collinearity(scale * a, scale * b) == pytest.approx(collinearity(a, b))
+        tiny = AmbiguousPair(
+            x=scale * a, y=b, x_alt=2 * scale * a, y_alt=b / 2, residual=0.0, collinearity=0.0
+        )
+        assert not verify_pair(tiny).certifies_unidentifiability
+
     def test_attack_difference_matches_scaled_bordered_product(self):
         # With the factors the attack picked, x y^T - x' y'^T must equal
         # sin(phi - theta) times the bordered product of (u, v).

@@ -120,11 +120,6 @@ class TestBasicCommands:
         assert code == 1
         assert json.loads(out)["certifies_unidentifiability"] is False
 
-    def test_backend_command(self, capsys):
-        code, out, _ = run(capsys, ["backend"])
-        assert code == 0
-        assert json.loads(out)["backend"] in ("numba", "numpy")
-
 
 class TestReproduceCommand:
     def test_default_run_passes(self, capsys):
@@ -236,3 +231,38 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["n0", "--u", u, "--v", v, "--format", "csv"])
         assert code == 2
         assert json.loads(err)["error"]["code"] == "no-csv"
+
+    def test_refused_csv_leaves_existing_out_file_intact(self, tmp_path, capsys):
+        out = tmp_path / "existing.json"
+        out.write_text('{"keep": true}\n')
+        u = write_signal(tmp_path / "u.json", [1.0])
+        v = write_signal(tmp_path / "v.json", [1.0])
+        code, _, err = run(
+            capsys, ["n0", "--u", u, "--v", v, "--format", "csv", "--out", str(out)]
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "no-csv"
+        assert out.read_text() == '{"keep": true}\n'
+
+    def test_unwritable_out_path_is_structured_error(self, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "x.json"
+        code, _, err = run(capsys, ["kernel", "--m", "2", "--n", "2", "--out", str(target)])
+        assert code == 2
+        obj = json.loads(err)["error"]
+        assert obj["code"] == "bad-output"
+        assert obj["path"] == str(target)
+        assert not target.parent.exists()
+
+    def test_generation_failure_is_structured_error(self, monkeypatch, capsys):
+        import ambiconv.nullspace as nullspace
+
+        def zero_corner(m, n, rng):
+            return np.zeros((m, n)), nullspace.RawCertificate()
+
+        monkeypatch.setattr(nullspace, "_n2_generate_once", zero_corner)
+        with pytest.raises(nullspace.GenerationError):
+            nullspace.n2_generate(4, 5, seed=0)
+        code, out, err = run(capsys, ["n2", "--m", "4", "--n", "5"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "generation-failed"

@@ -11,13 +11,17 @@ from ambiconv import (
     antidiagonal_shift,
     as_matrix,
     as_signal,
+    bordered_y_form,
     convolve,
     hankel_basis,
     lift_apply,
+    m2_element,
     matrix_from_json,
     matrix_to_json,
     outer,
     rank_estimate,
+    reconstruct,
+    rotational_family,
     signal_from_json,
     signal_to_json,
 )
@@ -31,6 +35,16 @@ Z_COMMON = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0]
 signal_entries = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=9
 )
+
+
+# One call per public scalar parameter, with that parameter set to t.
+SCALAR_PARAMETER_CALLS = {
+    "gamma": lambda t: reconstruct([1.0, 2.0], t),
+    "angle": lambda t: bordered_y_form([1.0, 2.0], t),
+    "theta": lambda t: rotational_family([1.0], [1.0], [1.0], [1.0], t, 0.5),
+    "phi": lambda t: rotational_family([1.0], [1.0], [1.0], [1.0], 0.5, t),
+    "lam": lambda t: m2_element([1.0], t),
+}
 
 
 class TestValidation:
@@ -58,6 +72,12 @@ class TestValidation:
         x = as_signal([1.0, 2.0])
         with pytest.raises(ValueError):
             x[0] = 3.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
+    def test_nonfinite_scalar_parameter_rejected_by_name(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            SCALAR_PARAMETER_CALLS[name](bad)
 
     def test_tolerance_profile_rejects_negative(self):
         with pytest.raises(ValueError):
