@@ -259,6 +259,8 @@ def _cmd_trials(args) -> int:
         nmax=args.nmax,
         tol=_tol(args),
     )
+    if report.trials == 0:
+        raise InputError("bad-count", "the campaign runs no trial: raise --mmax or --nmax")
     _emit(
         report.to_json(include_timing=args.timing),
         args,

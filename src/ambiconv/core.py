@@ -182,13 +182,16 @@ def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
     Counts pivots of the triangular factor whose magnitude exceeds the
     tol-scaled threshold; exact on modest integer-valued matrices.
     """
-    ws = as_matrix(w)
-    tol = tol or DEFAULT_TOL
-    if not ws.any():
+    return _rank(as_matrix(w), tol or DEFAULT_TOL)
+
+
+def _rank(w: np.ndarray, tol: ToleranceProfile) -> int:
+    """``rank_estimate`` on a trusted 2-D float64 array."""
+    if not w.any():
         return 0
-    r = scipy.linalg.qr(ws, mode="r", pivoting=True)[0]
+    r = scipy.linalg.qr(w, mode="r", pivoting=True)[0]
     pivots = np.abs(np.diag(r))
-    return int(np.count_nonzero(pivots > tol.threshold(ws)))
+    return int(np.count_nonzero(pivots > tol.threshold(w)))
 
 
 # --- JSON wire formats -----------------------------------------------------

@@ -11,9 +11,11 @@ Three families are constructed explicitly:
 * ``m2_element`` -- the skew-symmetric square exception family whose corner
   entries vanish.
 
-``classify`` runs the converse factorization: given a kernel element with a
-nonzero corner it recovers a certificate of the generating family and
-reports the refactorization residual.
+``classify`` runs the converse factorization: a kernel element with a
+nonzero corner is ``E_TR(u1 v1^T) + E_BL(u2 v2^T)`` with the inner residual
+``u1 v1^T + u2 v2^T`` in the kernel one dimension down, so reading both
+blocks off the matrix and recursing on the residual recovers a certificate
+of the generating family.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .core import (
     ToleranceProfile,
     _finite_scalar,
     _lift,
+    _rank,
     as_matrix,
     as_signal,
-    rank_estimate,
 )
 
 
@@ -345,11 +347,14 @@ def kernel_basis(m: int, n: int) -> list[np.ndarray]:
 
 def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
     """True iff rank <= 2 and the anti-diagonal sums vanish at tol scale."""
-    ws = as_matrix(w)
-    tol = tol or DEFAULT_TOL
-    if rank_estimate(ws, tol) > 2:
+    return _in_rank2_nullspace(as_matrix(w), tol or DEFAULT_TOL)
+
+
+def _in_rank2_nullspace(w: np.ndarray, tol: ToleranceProfile) -> bool:
+    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array."""
+    if _rank(w, tol) > 2:
         return False
-    return float(np.max(np.abs(_lift(ws)))) <= tol.threshold(ws)
+    return float(np.max(np.abs(_lift(w)))) <= tol.threshold(w)
 
 
 # --- structural classifier ---------------------------------------------------
@@ -358,18 +363,20 @@ def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
 def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     """Recover a generating certificate for a rank-two kernel element.
 
-    Follows the converse factorization: a kernel element with a nonzero
-    bottom-left (or, symmetrically, top-right) corner splits into corner
-    embeddings of two rank-one blocks; the classification is ``n0`` when the
-    inner residual vanishes, ``n2`` when it is a nonzero element of the
-    lower-dimensional kernel, and ``raw`` when both corner entries vanish
-    (the exception set, which the factorization does not cover).
+    Follows the converse factorization ``W = E_TR(u1 v1^T) + E_BL(u2 v2^T)``,
+    dividing by the larger corner: the bottom-left block is read off the
+    first column and the last row, and the top-right block is what remains
+    of the top-right window.  The classification is ``n0`` when the inner
+    residual ``u1 v1^T + u2 v2^T`` vanishes, ``n2`` when it is a nonzero
+    element of the lower-dimensional kernel (classified the same way), and
+    ``raw`` when both corner entries vanish (the exception set, which the
+    factorization does not cover).
     """
     ws = as_matrix(w)
     tol = tol or DEFAULT_TOL
     if not ws.any():
         raise ValueError("cannot classify the zero matrix")
-    if not is_in_rank2_nullspace(ws, tol):
+    if not _in_rank2_nullspace(ws, tol):
         raise ValueError("matrix is not in the rank-two kernel at this tolerance")
     cert = _classify_cert(ws, tol)
     if isinstance(cert, RawCertificate):
@@ -394,53 +401,25 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile) -> NullspaceCertificate
     corner_tr = abs(w[0, n - 1])
     if corner_bl <= thresh and corner_tr <= thresh:
         return RawCertificate()
-    if corner_bl <= thresh:
+    if corner_tr > corner_bl:
         return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol))
 
-    # Zero first row: strip it, classify one dimension down, re-pad u.
-    if np.max(np.abs(w[0])) <= thresh:
-        return _pad_first_u(_classify_cert(w[1:], tol))
-
+    # W = E_TR(u1 v1^T) + E_BL(u2 v2^T).  Only the bottom-left block reaches
+    # the first column and the last row, so it is read off directly.
     u2 = w[1:, 0]
-    j0 = None
-    for j in range(1, n):
-        pair = np.column_stack([w[:, 0], w[:, j]])
-        if np.linalg.svd(pair, compute_uv=False)[-1] > thresh:
-            j0 = j
-            break
-    if j0 is None:
-        raise ValueError("no independent column pair: matrix is numerically rank one")
-
-    if abs(w[m - 1, j0]) <= thresh:
-        u1 = w[: m - 1, j0].copy()
-    else:
-        alpha = w[m - 1, 0] / w[m - 1, j0]
-        u1 = alpha * w[: m - 1, j0] - w[: m - 1, 0]
-
-    # Columns of W live in span{(u1, 0), (0, u2)}; solve for the row factors.
-    basis = np.zeros((m, 2))
-    basis[: m - 1, 0] = u1
-    basis[1:, 1] = u2
-    coeffs = np.linalg.lstsq(basis, w, rcond=None)[0]
-    v1 = coeffs[0, 1:]  # leading entry of the first row factor is structurally 0
-    v2 = coeffs[1, : n - 1]  # trailing entry of the second row factor likewise
+    v2 = w[m - 1, : n - 1] / w[m - 1, 0]
+    # The top-right window minus the bottom-left block's overlap is u1 v1^T;
+    # factor it at its largest entry.
+    block = w[: m - 1, 1:].copy()
+    block[1:, :-1] -= np.outer(u2[:-1], v2[1:])
+    i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+    if abs(block[i, j]) <= thresh:
+        raise ValueError("top-right block vanishes: matrix is numerically rank one")
+    u1 = block[:, j]
+    v1 = block[i] / block[i, j]
 
     inner = np.outer(u1, v1) + np.outer(u2, v2)
     u1, u2, v1, v2 = map(_readonly, (u1, u2, v1, v2))
     if float(np.max(np.abs(inner))) <= thresh:
         return N0Certificate(u=u1, v=v1)
     return N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=_classify_cert(inner, tol))
-
-
-def _pad_first_u(cert: NullspaceCertificate) -> NullspaceCertificate:
-    if isinstance(cert, N0Certificate):
-        return N0Certificate(u=_readonly(np.insert(cert.u, 0, 0.0)), v=cert.v)
-    if isinstance(cert, N2Certificate):
-        return N2Certificate(
-            u1=_readonly(np.insert(cert.u1, 0, 0.0)),
-            u2=_readonly(np.insert(cert.u2, 0, 0.0)),
-            v1=cert.v1,
-            v2=cert.v2,
-            inner=_pad_first_u(cert.inner),
-        )
-    return cert

@@ -244,6 +244,21 @@ class TestErrorPaths:
         assert json.loads(err)["error"]["code"] == "no-csv"
         assert out.read_text() == '{"keep": true}\n'
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "nullspace", "--mmax", "1"],
+            ["--suite", "nullspace", "--nmax", "1"],
+            ["--suite", "kernel", "--mmax", "0"],
+            ["--suite", "structure", "--nmax", "1"],
+        ],
+    )
+    def test_empty_campaign_is_bad_count(self, argv, capsys):
+        code, out, err = run(capsys, ["trials", *argv])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "bad-count"
+
     def test_unwritable_out_path_is_structured_error(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "x.json"
         code, _, err = run(capsys, ["kernel", "--m", "2", "--n", "2", "--out", str(target)])

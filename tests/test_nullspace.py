@@ -293,6 +293,24 @@ class TestClassify:
         assert isinstance(result.certificate, N0Certificate)
         assert result.refactorization_residual <= 1e-9 * np.max(np.abs(q))
 
+    def test_nested_certificates_are_kernel_elements(self):
+        # every level's inner residual must lift to ~0 relative to its own
+        # scale, including deep levels whose corners have decayed
+        failures = []
+        for m in range(9, 17):
+            for n in range(9, 17):
+                for seed in range(5):
+                    cert = classify(n2_generate(m, n, seed)[0]).certificate
+                    depth = 0
+                    while isinstance(cert, N2Certificate):
+                        inner = np.outer(cert.u1, cert.v1) + np.outer(cert.u2, cert.v2)
+                        lift = np.max(np.abs(lift_apply(inner)))
+                        if lift > 1e-9 * np.max(np.abs(inner)):
+                            failures.append((m, n, seed, depth, float(lift)))
+                        cert = cert.inner
+                        depth += 1
+        assert not failures
+
     def test_rejects_zero_matrix_and_nonmembers(self):
         with pytest.raises(ValueError):
             classify(np.zeros((3, 3)))
@@ -319,6 +337,26 @@ class TestCertificates:
             assert np.array_equal(back_inner.v2, inner.v2)
             inner, back_inner = inner.inner, back_inner.inner
         assert isinstance(back_inner, N0Certificate)
+
+    @pytest.mark.parametrize(
+        "kind, q",
+        [
+            ("n0", n0_element([0.5, -1.0, 2.0, 0.75], [1.5, -0.5, 1.0, 2.0])),
+            ("n2", n2_generate(6, 7, seed=3)[0]),
+            # top-right corner 6.0 outweighs the bottom-left corner -0.25
+            ("n0", n0_element([3.0, 1.0, 0.5], [0.5, -1.0, 2.0])),
+            ("n2", n2_generate(7, 5, seed=11)[0].T),
+            ("n0", n0_element([1.0, -2.0, 0.5, 3.0], [1.5])),
+            ("n0", n0_element([2.0], [1.0, -0.5, 3.0])),
+        ],
+        ids=["n0", "n2", "top_right_n0", "top_right_n2", "m_by_2", "2_by_n"],
+    )
+    def test_classified_certificate_json_round_trip(self, kind, q):
+        cert = classify(q).certificate
+        assert cert.kind == kind
+        back = certificate_from_json(certificate_to_json(cert))
+        gap = np.max(np.abs(certificate_to_matrix(back) - q))
+        assert gap <= 1e-9 * np.max(np.abs(q))
 
     def test_m2_and_raw_json(self):
         m2 = M2Certificate(u=np.array([1.0, 2.0]), lam=1.5)
