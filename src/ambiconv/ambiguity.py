@@ -18,6 +18,7 @@ just the inherent scaling equivalence and never certify).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -212,7 +213,8 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
 
     Decomposes ``x`` into bordered-rotation factors ``(u, theta)`` and ``-y``
     into ``(v, phi)`` (so that ``y`` equals the column-bordered form of
-    ``v`` at angle ``phi``), then swaps the angles:
+    ``v`` at angle ``phi``), then swaps the angles, one real linear factor
+    of ``X(z)`` for one of ``Y(z)``:
 
         x' = reconstruct(u, phi),   y' = bordered_y_form(v, theta).
 
@@ -220,10 +222,11 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     times a bordered-product kernel element, so both pairs convolve to the
     same output.  Candidates with ``|cos(phi)|`` or ``|sin(phi - theta)|``
     at most ``DEGENERACY_EPS`` are skipped.  Enumeration is deterministic
-    (x-elements outer, y-elements inner, small factor magnitudes first) and
-    the first combination whose certificate factor stays non-collinear
-    within ``ATTACK_COLLINEARITY_BOUND`` wins; if the two decompositions
-    share every angle by accident, the least-collinear valid combination is
+    (one element per real root, as mirrors only negate the certificate;
+    x outer, y inner, small factor magnitudes first) and the first
+    combination whose certificate factor stays non-collinear within
+    ``ATTACK_COLLINEARITY_BOUND`` wins; if the two decompositions share
+    every angle by accident, the least-collinear valid combination is
     returned instead.
     """
     xs, ys = as_signal(x), as_signal(y)
@@ -239,54 +242,35 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
                     "for the decomposition (the border zero patterns are handled "
                     "by shift_ambiguity instead)"
                 )
-    x_elements = _decompose(xs, tol)
-    y_elements = _decompose(-ys, tol)
     # Well-conditioned elements first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
-    x_elements = sorted(x_elements, key=lambda e: float(np.max(np.abs(e.w_star))))
-    y_elements = sorted(y_elements, key=lambda e: float(np.max(np.abs(e.w_star))))
-    fallback = None
-    for xe in x_elements:
-        theta = xe.gamma
-        for ye in y_elements:
-            phi = ye.gamma
-            if abs(math.cos(phi)) <= DEGENERACY_EPS:
-                continue
-            if abs(math.sin(phi - theta)) <= DEGENERACY_EPS:
-                continue
-            coll = _collinearity(xs, _bordered(xe.w_star, phi))
-            if coll <= ATTACK_COLLINEARITY_BOUND:
-                return _assemble_attack_pair(xs, ys, xe, ye, tol)
-            # Two decompositions can share an angle by accident; keep the
-            # least-collinear valid combination as a fallback.
-            if fallback is None or coll < fallback[0]:
-                fallback = (coll, xe, ye)
-    if fallback is not None:
-        return _assemble_attack_pair(xs, ys, fallback[1], fallback[2], tol)
-    raise AttackSearchError(
-        "no valid angle combination: "
-        f"{len(x_elements)} x-elements, {len(y_elements)} y-elements, "
-        f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
-    )
-
-
-def _assemble_attack_pair(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    xe: QuotientElement,
-    ye: QuotientElement,
-    tol: ToleranceProfile,
-) -> AmbiguousPair:
-    # Guard the derived identity on this instance: y must equal its
-    # column-bordered form -_bordered(v, gamma) at the decomposed angle (same
-    # scale convention as the decomposition filter, which includes the factor
-    # itself).
-    y_rebuilt = -_bordered(ye.w_star, ye.gamma)
-    if float(np.max(np.abs(ys - y_rebuilt))) > tol.threshold(ys, ye.w_star):
-        raise AttackSearchError("y-form identity violated for a decomposition element")
-    x_alt = _bordered(xe.w_star, ye.gamma)
-    y_alt = -_bordered(ye.w_star, xe.gamma)
+    x_roots = sorted(_decompose(xs, tol), key=_peak)
+    y_roots = sorted(_decompose(-ys, tol), key=_peak)
+    best = None
+    for xe, ye in itertools.product(x_roots, y_roots):
+        theta, phi = xe.gamma, ye.gamma
+        if abs(math.cos(phi)) <= DEGENERACY_EPS:
+            continue
+        if abs(math.sin(phi - theta)) <= DEGENERACY_EPS:
+            continue
+        x_alt = _bordered(xe.w_star, phi)
+        coll = _collinearity(xs, x_alt)
+        # The first combination under the bound wins.  Two decompositions
+        # can share an angle by accident, so until then keep the
+        # least-collinear valid combination as a fallback.
+        if best is None or coll < best[0]:
+            best = (coll, x_alt, ye.w_star, theta)
+        if coll <= ATTACK_COLLINEARITY_BOUND:
+            break
+    if best is None:
+        raise AttackSearchError(
+            "no valid angle combination: "
+            f"{len(x_roots)} real roots of x, {len(y_roots)} of -y, "
+            f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
+        )
+    coll, x_alt, v, theta = best
+    y_alt = -_bordered(v, theta)
     x_alt.flags.writeable = False
     y_alt.flags.writeable = False
     residual = float(np.max(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt))))
@@ -296,8 +280,12 @@ def _assemble_attack_pair(
         x_alt=x_alt,
         y_alt=y_alt,
         residual=residual,
-        collinearity=_collinearity(xs, x_alt),
+        collinearity=coll,
     )
+
+
+def _peak(element: QuotientElement) -> float:
+    return float(np.max(np.abs(element.w_star)))
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:

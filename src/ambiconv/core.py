@@ -30,8 +30,10 @@ class ToleranceProfile:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def threshold(self, *operands) -> float:
         scale = 0.0

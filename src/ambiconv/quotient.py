@@ -5,13 +5,14 @@ reproduces ``w`` through the bordered product
 
     w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma),
 
-with out-of-range ``w_star`` indices read as zero: the factorization
-``W(z) = W*(z) (cos(gamma) - z sin(gamma))`` of generating polynomials.  Each
-real root ``r = cot(gamma)`` of ``W`` gives two pairs, so there are at most
-``2d-2``, and at least two for even ``d`` (odd degree).  ``quotient_decompose``
-takes the real roots from companion-matrix eigenvalues, divides each linear
-factor out by synthetic division from the end where the recurrence
-contracts, and checks every quotient by reconstruction.
+with out-of-range ``w_star`` indices read as zero: ``w`` is ``w_star``
+convolved with ``(cos(gamma), -sin(gamma))``, the factorization
+``W(z) = W*(z) (cos(gamma) - z sin(gamma))`` of generating polynomials.  The
+real roots ``r = cot(gamma)`` of ``W`` come from companion-matrix
+eigenvalues; each linear factor is divided out by synthetic division from
+the end where the recurrence contracts and checked by reconstruction.  Each
+root gives one pair plus, in ``quotient_decompose``, its mirror
+``(-w_star, gamma + pi)``: at most ``2d-2`` pairs, at least two for even ``d``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
 
 
 def _bordered(ws: np.ndarray, gamma: float) -> np.ndarray:
-    """The forward map on a trusted 1-D float64 array."""
-    return math.cos(gamma) * np.append(ws, 0.0) - math.sin(gamma) * np.insert(ws, 0, 0.0)
+    """The forward map on a trusted 1-D float64 array: one 2-tap convolution."""
+    return np.convolve(ws, (math.cos(gamma), -math.sin(gamma)))
 
 
 def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientElement]:
@@ -61,16 +62,23 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
 
     Requires ``|w(1)|`` and ``|w(d)|`` above the tol-scaled threshold.  Each
     distinct real root ``r`` of ``W(z) = sum_j w(j) z^(j-1)`` gives the angle
-    ``gamma = atan2(1, r)`` with its quotient ``w_star``, and the mirror
-    ``(-w_star, gamma + pi)``.  The list has at most ``2d-2`` elements; it is
-    nonempty for even ``d`` and may be legitimately empty for odd ``d``.
+    ``gamma = atan2(1, r)`` with its quotient ``w_star``, listed right
+    before its mirror ``(-w_star, gamma + pi)``.  The list has at most
+    ``2d-2`` elements; it is nonempty for even ``d`` and may be legitimately
+    empty for odd ``d``.
     Every quotient is verified by reconstruction before inclusion.
     """
-    return _decompose(as_signal(w), tol or DEFAULT_TOL)
+    elements: list[QuotientElement] = []
+    for root in _decompose(as_signal(w), tol or DEFAULT_TOL):
+        mirror = -root.w_star
+        mirror.flags.writeable = False
+        elements += (root, QuotientElement(w_star=mirror, gamma=root.gamma + math.pi))
+    return elements
 
 
 def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
-    """``quotient_decompose`` on a trusted 1-D float64 array."""
+    """One factor pair per accepted real root of a trusted 1-D float64 array,
+    in increasing root order; mirrors are left to ``quotient_decompose``."""
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     accept = tol.threshold(ws)
@@ -109,10 +117,8 @@ def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
         # pi/2) reconstructs w through cancellation of terms of size
         # max|w_star|, so its float residual floor is eps * max|w_star|.
         if residual <= tol.threshold(ws, w_star):
-            for sign, angle in ((1.0, gamma), (-1.0, gamma + math.pi)):
-                factor = sign * w_star
-                factor.flags.writeable = False
-                elements.append(QuotientElement(w_star=factor, gamma=angle))
+            w_star.flags.writeable = False
+            elements.append(QuotientElement(w_star=w_star, gamma=gamma))
     return elements
 
 

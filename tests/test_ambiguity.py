@@ -12,14 +12,54 @@ from ambiconv import (
     convolve,
     n0_element,
     outer,
+    quotient_decompose,
     reconstruct,
     rotational_family,
     shift_ambiguity,
     verify_pair,
 )
+from ambiconv.ambiguity import ATTACK_COLLINEARITY_BOUND, DEGENERACY_EPS
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
-from ambiconv.trials import sample_signal
+from ambiconv.trials import sample_signal, trial_rng
 from oracles import convolve_brute
+
+
+def attack_suite_draw(seed, index):
+    """The input pair of trial ``index`` of ``trials --suite attack --seed seed``."""
+    rng = trial_rng(seed, index)
+    m, n = (int(rng.choice(np.arange(4, 17, 2))) for _ in range(2))
+    return sample_signal(rng, m), sample_signal(rng, n)
+
+
+def clustered_root_pair():
+    """x with one real root (0.5) and -y with three (0.5005, 0.501, 0.502):
+    every combination lies above the attack's collinearity bound, the first
+    in search order (1 - 2.7e-8) closer to collinear than the last
+    (1 - 4.3e-7)."""
+
+    def monic(roots):
+        return np.real(np.poly(roots))[::-1]
+
+    x = monic([0.5, 0.3 + 0.8j, 0.3 - 0.8j])
+    y = -monic([0.5005, 0.501, 0.502, -0.4 + 0.9j, -0.4 - 0.9j])
+    return x, y
+
+
+def valid_combinations(x, y):
+    """``(x_alt, y_alt, collinearity)`` of every combination the attack may
+    return, in its documented order: x-elements outer, y-elements inner,
+    each by increasing factor peak, degenerate angle pairs skipped."""
+
+    def by_peak(elements):
+        return sorted(elements, key=lambda e: float(np.max(np.abs(e.w_star))))
+
+    for xe in by_peak(quotient_decompose(x)):
+        for ye in by_peak(quotient_decompose(-np.asarray(y))):
+            theta, phi = xe.gamma, ye.gamma
+            if min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS:
+                continue
+            x_alt = reconstruct(xe.w_star, phi)
+            yield x_alt, bordered_y_form(ye.w_star, theta), collinearity(x, x_alt)
 
 
 class TestRotationalFamily:
@@ -160,6 +200,42 @@ class TestAttack:
             scale = np.max(np.abs(convolve(x, y)))
             assert pair.residual <= 1e-8 * scale
             assert pair.collinearity <= 1.0 - 1e-6
+
+    def test_returns_first_combination_under_bound(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            m, n = rng.choice(np.arange(4, 17, 2), size=2)
+            x, y = sample_signal(rng, m), sample_signal(rng, n)
+            pair = attack(x, y)
+            if pair.collinearity > ATTACK_COLLINEARITY_BOUND:
+                continue  # the fallback, pinned below
+            x_alt, y_alt, coll = next(
+                c for c in valid_combinations(x, y) if c[2] <= ATTACK_COLLINEARITY_BOUND
+            )
+            # A mirror element (-w_star, gamma + pi) only negates the pair.
+            sign = 1.0 if np.array_equal(pair.x_alt, x_alt) else -1.0
+            assert np.array_equal(pair.x_alt, sign * x_alt)
+            assert np.array_equal(pair.y_alt, sign * y_alt)
+            assert pair.collinearity == coll
+            checked += 1
+        assert checked >= 190
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [attack_suite_draw(3, 1068), attack_suite_draw(6, 1063), clustered_root_pair()],
+        ids=["suite-3-1068", "suite-6-1063", "clustered-roots"],
+    )
+    def test_fallback_returns_least_collinear_combination(self, x, y):
+        # Every valid combination lies above the bound.  The two seeded
+        # attack-suite draws have one real root per signal (collinearity
+        # 0.99999909 at (3, 1068), m = 4, n = 12); the constructed pair has
+        # three unequal combinations, so it tells "least" from "first".
+        pair = attack(x, y)
+        least = min(coll for _, _, coll in valid_combinations(x, y))
+        assert pair.collinearity > ATTACK_COLLINEARITY_BOUND
+        assert abs(pair.collinearity - least) <= 1e-15
+        assert verify_pair(pair).certifies_unidentifiability
 
     @pytest.mark.parametrize("d", [32, 64, 128])
     def test_large_orders_certify(self, d):

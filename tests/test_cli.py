@@ -220,6 +220,21 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-input"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "inf"], ["--tol-abs", "nan"], ["--tol-rel=-inf"]],
+        ids=["tol-nan", "tol-inf", "tol-abs-nan", "tol-rel-minus-inf"],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "attack"])
+    def test_nonfinite_tolerance_is_invalid_input(self, tmp_path, capsys, command, flags):
+        x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
+        y = write_signal(tmp_path / "y.json", [1.0, 1.0, 2.0, 1.0])
+        inputs = ["--input", x] if command == "decompose" else ["--x", x, "--y", y]
+        code, out, err = run(capsys, [command, *inputs, *flags])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-input"
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

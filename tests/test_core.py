@@ -83,6 +83,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ToleranceProfile(abs_tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_tolerance_profile_rejects_nonfinite(self, field, bad):
+        # A NaN threshold makes every comparison false and an infinite one
+        # makes every comparison true, so either would silently pass or
+        # refuse any input.
+        with pytest.raises(ValueError, match=field):
+            ToleranceProfile(**{field: bad})
+
     def test_tolerance_threshold_scales_with_operands(self):
         tol = ToleranceProfile(abs_tol=1e-12, rel_tol=1e-9)
         assert tol.threshold(np.zeros(3)) == 1e-12
