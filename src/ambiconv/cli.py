@@ -39,7 +39,6 @@ from .core import (
     signal_to_json,
 )
 from .nullspace import (
-    GenerationError,
     M2Certificate,
     certificate_to_json,
     classify,
@@ -357,9 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_tolerance_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--tol-rel -1e-3`` as ``--tol-rel=-1e-3``: argparse takes
+    ``-1e-3`` or ``-inf`` for an option name, so the value would not reach
+    the tolerance check and its structured ``invalid-input`` error."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--tol", "--tol-abs", "--tol-rel") and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:
@@ -370,9 +382,6 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except RootFindingError as exc:
         _structured_error("root-finding-failed", str(exc))
-        return EXIT_CHECK_FAILED
-    except GenerationError as exc:
-        _structured_error("generation-failed", str(exc))
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         _structured_error("invalid-input", str(exc))

@@ -7,7 +7,11 @@ Three families are constructed explicitly:
   rank-one block with opposite signs),
 * ``n2_lift`` / ``n2_generate`` -- the dimension-recursive family that embeds
   a lower-dimensional kernel element into the top-right and bottom-left
-  corner blocks,
+  corner blocks.  ``n2_generate`` draws it from the factor-swap identity
+  ``P (B Q) - Q (B P) = 0``: ``outer(p, b*q) - outer(q, b*p)`` lifts to zero
+  with rank at most two, and a change of basis in span{P, Q} splits it into
+  its two corner blocks, whose inner residual is the same swap one
+  dimension down,
 * ``m2_element`` -- the skew-symmetric square exception family whose corner
   entries vanish.
 
@@ -37,7 +41,8 @@ from .core import (
 
 
 class GenerationError(RuntimeError):
-    """The seeded generator found no usable draw within its attempt budget."""
+    """Raised by no function since ``n2_generate`` needs no retries; kept
+    exported for callers that catch it."""
 
 
 # --- certificates ------------------------------------------------------------
@@ -203,32 +208,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _pow2_rebalance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Power-of-two rescaling is exact in binary floating point, so the outer
-    # product u v^T is preserved bit for bit while scales stay bounded.
-    peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
-        return u, v
-    s = 2.0 ** round(np.log2(peak))
-    return u / s, v * s
-
-
-def _draw_vector(rng: np.random.Generator, size: int, attempts: int = 64) -> np.ndarray:
-    for _ in range(attempts):
-        vec = rng.uniform(-1.0, 1.0, size)
-        if np.max(np.abs(vec)) >= 0.3:
-            return vec
-    raise GenerationError(f"no usable random vector after {attempts} draws")
-
-
-def _draw_mixing(rng: np.random.Generator, attempts: int = 64) -> np.ndarray:
-    for _ in range(attempts):
-        a = rng.uniform(-1.0, 1.0, (2, 2))
-        if abs(np.linalg.det(a)) >= 0.2:
-            return a
-    raise GenerationError(f"no invertible mixing matrix after {attempts} draws")
-
-
 def _transpose_certificate(cert: NullspaceCertificate) -> NullspaceCertificate:
     # n0(u, v)^T = n0(v, -u); corner embeddings swap under transposition.
     if isinstance(cert, N0Certificate):
@@ -249,50 +228,44 @@ def n2_generate(
 ) -> tuple[np.ndarray, NullspaceCertificate]:
     """Seeded random element of the dimension-recursive kernel family.
 
-    Starts from a random bordered-product element in dimensions
-    ``(2, n-m+2)`` and applies a random invertible 2x2 mixing followed by the
-    corner-block embedding, ``m-2`` times (assuming ``n >= m``; the other
-    orientation is handled by transposition).  Returns the matrix together
-    with the fully nested certificate.  ``m == 2`` requests recursion depth
-    zero and yields a plain bordered-product element.
+    Built on the factor-swap identity ``P (B Q) - Q (B P) = 0``: with ``p``
+    and ``q`` of length ``k = min(m, n)`` and ``b`` of length ``|n-m| + 1``
+    drawn from ``default_rng(seed)`` (the end coefficients of ``p`` and ``q``
+    fixed to (1, 0) and (0, 1)), ``W = outer(p, b*q) - outer(q, b*p)`` lifts
+    to zero and has rank at most two.  For ``m > n`` the ``(n, m)``
+    element is transposed.  Returns the matrix together with its nested
+    certificate, ``min(m, n) - 2`` levels deep with a bordered product at the
+    bottom; the matrix is rebuilt from the certificate, so the two agree bit
+    for bit.
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")
     if m > n:
-        mat, cert = n2_generate(n, m, seed, tol)
-        mat_t = mat.T.copy()
-        mat_t.flags.writeable = False
-        return mat_t, _transpose_certificate(cert)
+        cert = _transpose_certificate(n2_generate(n, m, seed, tol)[1])
+        return certificate_to_matrix(cert), cert
 
     rng = np.random.default_rng(seed)
-    for _ in range(64):
-        matrix, cert = _n2_generate_once(m, n, rng)
-        corner = max(abs(matrix[m - 1, 0]), abs(matrix[0, n - 1]))
-        if corner > 1e-6 * np.max(np.abs(matrix)):
-            return matrix, cert
-    raise GenerationError("no generated element with a usable corner entry after 64 draws")
-
-
-def _n2_generate_once(
-    m: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, NullspaceCertificate]:
-    u0 = _readonly(_draw_vector(rng, 1))
-    v0 = _readonly(_draw_vector(rng, n - m + 1))
-    cert: NullspaceCertificate = N0Certificate(u=u0, v=v0)
-    c1, c2 = np.append(u0, 0.0), np.insert(-u0, 0, 0.0)
-    r1, r2 = np.insert(v0, 0, 0.0), np.append(v0, 0.0)
-    for _ in range(m - 2):
-        a = _draw_mixing(rng)
-        cols = np.column_stack([c1, c2]) @ a
-        rows = np.linalg.solve(a, np.vstack([r1, r2]))
-        u1, v1 = map(_readonly, _pow2_rebalance(cols[:, 0], rows[0]))
-        u2, v2 = map(_readonly, _pow2_rebalance(cols[:, 1], rows[1]))
+    p, q = rng.uniform(-1.0, 1.0, (2, m))
+    b = rng.uniform(-1.0, 1.0, n - m + 1)
+    # A = q0 P - p0 Q has no constant term, B = q[-1] P - p[-1] Q no leading
+    # term, and the change of basis has determinant c.  So with P' = A / (cz)
+    # and Q' = B, P(s)Q(t) - Q(s)P(t) = s P'(s)Q'(t) - t Q'(s)P'(t): W embeds
+    # -q' (b*p')^T top-right and p' (b*q')^T bottom-left, and the inner
+    # residual is the same swap on (p', q').  W's corners are b[0] c and
+    # b[-1] c while its blocks grow as 1 / c; the end coefficients below,
+    # a basis every span{P, Q} with c != 0 has, fix c = 1 at the top level.
+    p[0], p[-1], q[0], q[-1] = 1.0, 0.0, 0.0, 1.0
+    levels = []
+    while p.size > 1:
+        c = q[-1] * p[0] - q[0] * p[-1]
+        p, q = (q[0] * p - p[0] * q)[1:] / c, (q[-1] * p - p[-1] * q)[:-1]
+        levels.append(tuple(map(_readonly, (-q, np.convolve(b, p), p, np.convolve(b, q)))))
+    u1, v1, _, _ = levels.pop()
+    # One-entry p' and q' make the inner residual p'q'(b - b) vanish.
+    cert: NullspaceCertificate = N0Certificate(u=u1, v=v1)
+    for u1, v1, u2, v2 in reversed(levels):
         cert = N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=cert)
-        c1, c2 = np.append(u1, 0.0), np.insert(u2, 0, 0.0)
-        r1, r2 = np.insert(v1, 0, 0.0), np.append(v2, 0.0)
-    matrix = np.outer(c1, r1) + np.outer(c2, r2)
-    matrix.flags.writeable = False
-    return matrix, cert
+    return certificate_to_matrix(cert), cert
 
 
 def m2_element(u, lam: float) -> np.ndarray:

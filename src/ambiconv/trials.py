@@ -3,8 +3,8 @@
 Five suites: attack success, quotient cardinality and round-trip, kernel
 element membership across the constructor grid, kernel dimension audit, and
 the two-row structural check.  Per-trial randomness derives from the pair
-(seed, trial index), so serial and parallel execution agree and any failure
-row is reproducible from the report alone.
+(seed, trial index), so each trial, and so any failure row, is reproducible
+from (seed, index) alone.
 """
 
 from __future__ import annotations

@@ -222,8 +222,26 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tol", "nan"], ["--tol", "inf"], ["--tol-abs", "nan"], ["--tol-rel=-inf"]],
-        ids=["tol-nan", "tol-inf", "tol-abs-nan", "tol-rel-minus-inf"],
+        [
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+            ["--tol-abs", "nan"],
+            ["--tol-rel=-inf"],
+            ["--tol-rel=-1e-3"],
+            ["--tol-rel", "-1e-3"],
+            ["--tol-abs", "-inf"],
+            ["--tol", "-1e-3"],
+        ],
+        ids=[
+            "tol-nan",
+            "tol-inf",
+            "tol-abs-nan",
+            "tol-rel-minus-inf",
+            "tol-rel-joined-negative",
+            "tol-rel-negative",
+            "tol-abs-minus-inf",
+            "tol-negative",
+        ],
     )
     @pytest.mark.parametrize("command", ["decompose", "attack"])
     def test_nonfinite_tolerance_is_invalid_input(self, tmp_path, capsys, command, flags):
@@ -282,17 +300,3 @@ class TestErrorPaths:
         assert obj["code"] == "bad-output"
         assert obj["path"] == str(target)
         assert not target.parent.exists()
-
-    def test_generation_failure_is_structured_error(self, monkeypatch, capsys):
-        import ambiconv.nullspace as nullspace
-
-        def zero_corner(m, n, rng):
-            return np.zeros((m, n)), nullspace.RawCertificate()
-
-        monkeypatch.setattr(nullspace, "_n2_generate_once", zero_corner)
-        with pytest.raises(nullspace.GenerationError):
-            nullspace.n2_generate(4, 5, seed=0)
-        code, out, err = run(capsys, ["n2", "--m", "4", "--n", "5"])
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["error"]["code"] == "generation-failed"

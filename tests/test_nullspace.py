@@ -158,7 +158,29 @@ class TestN2Generate:
             cert = cert.inner
             depth += 1
         assert isinstance(cert, N0Certificate)
-        assert depth == 4  # m - 2 mixing levels
+        assert depth == 4  # min(m, n) - 2 factor-swap levels
+
+    @pytest.mark.parametrize("m, n", [(16, 20), (24, 28), (32, 36), (64, 68), (68, 64)])
+    def test_large_orders_round_trip(self, m, n):
+        for seed in range(3):
+            matrix, cert = n2_generate(m, n, seed)
+            assert rank_estimate(matrix) <= 2
+            recovered, depth = classify(matrix).certificate, 0
+            while isinstance(recovered, N2Certificate):
+                recovered, depth = recovered.inner, depth + 1
+            assert isinstance(recovered, N0Certificate) and depth == min(m, n) - 2
+            # The generator's own certificate goes through the brute-force
+            # oracle, so generator and classifier do not certify each other.
+            # A level's rounding scales with its two blocks, which can be far
+            # larger than their sum when its corner is small.
+            level, depth = cert, 0
+            while isinstance(level, N2Certificate):
+                blocks = np.outer(level.u1, level.v1), np.outer(level.u2, level.v2)
+                scale = max(np.max(np.abs(block)) for block in blocks)
+                for element in (certificate_to_matrix(level), blocks[0] + blocks[1]):
+                    assert np.max(np.abs(antidiagonal_sums_brute(element))) <= 1e-12 * scale
+                level, depth = level.inner, depth + 1
+            assert isinstance(level, N0Certificate) and depth == min(m, n) - 2
 
     def test_transposed_orientation(self):
         matrix, cert = n2_generate(9, 4, seed=3)
