@@ -114,7 +114,7 @@ def _collinearity(av: np.ndarray, bv: np.ndarray) -> float:
     """``collinearity`` of trusted equal-length arrays.  Each is first scaled
     by the power of two of its peak (exact in binary floating point), so the
     dot products neither underflow nor overflow at any finite scale."""
-    peak_a, peak_b = float(np.max(np.abs(av))), float(np.max(np.abs(bv)))
+    peak_a, peak_b = float(np.abs(av).max()), float(np.abs(bv).max())
     if peak_a == 0.0 or peak_b == 0.0:
         return 0.0
     av = np.ldexp(av, -math.frexp(peak_a)[1])
@@ -235,8 +235,9 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
     for name, vec in (("x", xs), ("y", ys)):
+        accept = tol._at(float(np.abs(vec).max()))
         for end in (0, -1):
-            if abs(vec[end]) <= tol.threshold(vec):
+            if abs(vec[end]) <= accept:
                 raise ValueError(
                     f"endpoint {name}({end % vec.size + 1}) is too close to zero "
                     "for the decomposition (the border zero patterns are handled "
@@ -273,7 +274,7 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     y_alt = -_bordered(v, theta)
     x_alt.flags.writeable = False
     y_alt.flags.writeable = False
-    residual = float(np.max(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt))))
+    residual = float(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt)).max())
     return AmbiguousPair(
         x=xs,
         y=ys,
@@ -285,7 +286,7 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
 
 
 def _peak(element: QuotientElement) -> float:
-    return float(np.max(np.abs(element.w_star)))
+    return float(np.abs(element.w_star).max())
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:

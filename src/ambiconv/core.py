@@ -41,6 +41,10 @@ class ToleranceProfile:
             arr = np.asarray(op, dtype=float)
             if arr.size:
                 scale = max(scale, float(np.max(np.abs(arr))))
+        return self._at(scale)
+
+    def _at(self, scale: float) -> float:
+        """The threshold at an already computed ``scale`` (largest |entry|)."""
         return self.abs_tol + self.rel_tol * scale
 
 

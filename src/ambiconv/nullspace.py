@@ -236,7 +236,8 @@ def n2_generate(
     element is transposed.  Returns the matrix together with its nested
     certificate, ``min(m, n) - 2`` levels deep with a bordered product at the
     bottom; the matrix is rebuilt from the certificate, so the two agree bit
-    for bit.
+    for bit.  The construction is exact, so ``tol`` does not affect
+    generation, and neither do the ``--tol-*`` flags of ``ambiconv n2``.
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")

@@ -8,19 +8,22 @@ reproduces ``w`` through the bordered product
 with out-of-range ``w_star`` indices read as zero: ``w`` is ``w_star``
 convolved with ``(cos(gamma), -sin(gamma))``, the factorization
 ``W(z) = W*(z) (cos(gamma) - z sin(gamma))`` of generating polynomials.  The
-real roots ``r = cot(gamma)`` of ``W`` come from companion-matrix
-eigenvalues; each linear factor is divided out by synthetic division from
-the end where the recurrence contracts and checked by reconstruction.  Each
-root gives one pair plus, in ``quotient_decompose``, its mirror
+real roots ``r = cot(gamma)`` of ``W`` are the real eigenvalues of its
+companion matrix, from one direct LAPACK ``dgeev`` call (scipy's wrapper,
+eigenvalues only); each linear factor is divided out by synthetic division
+from the end where the recurrence contracts and checked by reconstruction.
+Each root gives one pair plus, in ``quotient_decompose``, its mirror
 ``(-w_star, gamma + pi)``: at most ``2d-2`` pairs, at least two for even ``d``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeev, dgeev_lwork
 
 from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, as_signal
 
@@ -81,23 +84,17 @@ def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
     in increasing root order; mirrors are left to ``quotient_decompose``."""
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
-    accept = tol.threshold(ws)
+    peak = float(np.abs(ws).max())
+    accept = tol._at(peak)
     if abs(ws[0]) <= accept or abs(ws[-1]) <= accept:
         raise ValueError(
             "endpoint entries w(1) and w(d) must be bounded away from zero "
             f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
         )
 
-    try:
-        roots = np.roots(ws[::-1])
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"companion eigenvalue solver failed: {exc}") from exc
-    real = sorted(
-        float(r.real) for r in roots if abs(r.imag) <= _REAL_BAND * (1.0 + abs(r.real))
-    )
     elements: list[QuotientElement] = []
     kept = -math.inf
-    for r in real:
+    for r in _real_roots(ws):
         if r - kept <= _ROOT_MERGE * (1.0 + abs(r)):
             continue  # near-duplicate of the last kept root
         kept = r
@@ -109,17 +106,48 @@ def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
             w_star = _divide_low(ws, a, b)
         else:
             w_star = _divide_low(ws[::-1], b, a)[::-1]
-        if not np.all(np.isfinite(w_star)):
+        if not np.isfinite(w_star).all():
             continue
-        residual = float(np.max(np.abs(_bordered(w_star, gamma) - ws)))
+        residual = float(np.abs(_bordered(w_star, gamma) - ws).max())
         # The acceptance scale includes the quotient itself: a genuine
         # factor pair with large dynamic range (gamma near a multiple of
         # pi/2) reconstructs w through cancellation of terms of size
         # max|w_star|, so its float residual floor is eps * max|w_star|.
-        if residual <= tol.threshold(ws, w_star):
+        if residual <= tol._at(max(peak, float(np.abs(w_star).max()))):
             w_star.flags.writeable = False
             elements.append(QuotientElement(w_star=w_star, gamma=gamma))
     return elements
+
+
+def _real_roots(ws: np.ndarray) -> list[float]:
+    """The real roots of ``W(z) = sum_j ws(j) z^(j-1)`` in increasing order:
+    the eigenvalues, inside ``_REAL_BAND`` of the real axis, of its companion
+    matrix (first row ``-ws(d-1..1) / ws(d)``, ones on the subdiagonal, the
+    matrix numpy's ``roots`` builds)."""
+    n = ws.size - 1
+    comp = np.eye(n, k=-1, order="F")
+    comp[0] = -ws[-2::-1] / ws[-1]
+    if not np.isfinite(comp[0]).all():
+        raise RootFindingError(
+            "companion eigenvalue solver failed: Array must not contain infs or NaNs"
+        )
+    wr, wi, _, _, info = dgeev(
+        comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
+    )
+    if info:
+        raise RootFindingError(
+            "companion eigenvalue solver failed: Eigenvalues did not converge"
+        )
+    real = zip(wr.tolist(), wi.tolist())
+    return sorted(r for r, i in real if abs(i) <= _REAL_BAND * (1.0 + abs(r)))
+
+
+@functools.lru_cache(maxsize=None)
+def _workspace(n: int) -> int:
+    """LAPACK's optimal ``dgeev`` workspace at order n, the size
+    ``np.linalg.eigvals`` queries.  From n = 75 the Hessenberg QR takes a
+    different path, with different rounding, when given less."""
+    return int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
 
 def _divide_low(ws: np.ndarray, a: float, b: float) -> np.ndarray:

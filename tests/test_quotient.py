@@ -145,11 +145,40 @@ class TestDecompose:
             assert np.array_equal(ea.w_star, eb.w_star) and ea.gamma == eb.gamma
 
     def test_root_finder_failure_is_reported(self, monkeypatch):
+        from ambiconv import quotient
+
+        def no_convergence(a, **_):
+            # LAPACK's dgeev reports info > 0 when the QR iteration fails.
+            n = a.shape[0]
+            return np.zeros(n), np.zeros(n), np.zeros((1, 1)), np.zeros((1, 1)), n
+
+        monkeypatch.setattr(quotient, "dgeev", no_convergence)
+        with pytest.raises(quotient.RootFindingError, match="did not converge"):
+            quotient_decompose([1.0, 0.5, -0.5, 2.0])
+
+    @pytest.mark.parametrize("w", [[1e-300, 1e300, 1e-300], [1e-300, 1.0, 1e300, 1e-300]])
+    def test_nonfinite_companion_is_root_finding_error(self, w):
+        # The companion's first row -w(d-1..1) / w(d) overflows to -inf.
         from ambiconv.quotient import RootFindingError
 
-        def explode(_):
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        with pytest.raises(RootFindingError, match="infs or NaNs"):
+            quotient_decompose(w, ToleranceProfile(0.0, 0.0))
 
-        monkeypatch.setattr(np, "roots", explode)
-        with pytest.raises(RootFindingError):
-            quotient_decompose([1.0, 0.5, -0.5, 2.0])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_roots_agree_with_numpy_reference(self, scale):
+        # Independent reference: numpy's polynomial root finder on W(z),
+        # filtered by the same real band.  A tolerance, not bitwise equality:
+        # numpy and scipy may link different BLAS builds.
+        from ambiconv.quotient import _REAL_BAND
+
+        rng = np.random.default_rng(2024)
+        tol = ToleranceProfile(abs_tol=0.0)
+        for d in range(2, 71):
+            for _ in range(4):
+                w = sample_signal(rng, d) * scale
+                roots = np.roots(w[::-1])
+                real = roots.real[np.abs(roots.imag) <= _REAL_BAND * (1.0 + np.abs(roots.real))]
+                want = [math.atan2(1.0, r) for r in np.sort(real)]
+                got = [e.gamma for e in quotient_decompose(w, tol)[::2]]
+                assert len(got) == len(want), (d, got, want)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (d, got, want)
