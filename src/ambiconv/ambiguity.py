@@ -18,7 +18,7 @@ just the inherent scaling equivalence and never certify).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from .core import (
     signal_from_json,
     signal_to_json,
 )
-from .quotient import QuotientElement, _bordered, _decompose
+from .quotient import _bordered, _candidates, _reconstructs
 
 # Angle combinations closer than this to the degenerate set (cos(phi) = 0 or
 # phi = theta mod pi) are skipped during the attack's candidate search.
@@ -119,7 +119,7 @@ def _collinearity(av: np.ndarray, bv: np.ndarray) -> float:
         return 0.0
     av = np.ldexp(av, -math.frexp(peak_a)[1])
     bv = np.ldexp(bv, -math.frexp(peak_b)[1])
-    na, nb = float(np.linalg.norm(av)), float(np.linalg.norm(bv))
+    na, nb = math.sqrt(float(av @ av)), math.sqrt(float(bv @ bv))
     return min(1.0, abs(float(av @ bv)) / (na * nb))
 
 
@@ -227,7 +227,10 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     combination whose certificate factor stays non-collinear within
     ``ATTACK_COLLINEARITY_BOUND`` wins; if the two decompositions share
     every angle by accident, the least-collinear valid combination is
-    returned instead.
+    returned instead.  Each factor is verified by reconstruction, as in
+    ``quotient_decompose``, when the search reaches it: the result is the
+    one the full decompositions would give, without checking the factors
+    after the winning combination.
     """
     xs, ys = as_signal(x), as_signal(y)
     tol = tol or DEFAULT_TOL
@@ -243,31 +246,49 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
                     "for the decomposition (the border zero patterns are handled "
                     "by shift_ambiguity instead)"
                 )
-    # Well-conditioned elements first: the certificate pair is verified by
+    # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
-    x_roots = sorted(_decompose(xs, tol), key=_peak)
-    y_roots = sorted(_decompose(-ys, tol), key=_peak)
+    # The sorts are stable, so checking each factor by reconstruction only
+    # when the search reaches it keeps the order of sorting verified ones.
+    neg_y = -ys
+    x_peak, x_roots = _candidates(xs, tol)
+    y_peak, y_roots = _candidates(neg_y, tol)
+    x_roots.sort(key=lambda c: c[0])
+    y_roots.sort(key=lambda c: c[0])
+
+    @functools.cache
+    def y_holds(k: int) -> bool:
+        return _reconstructs(neg_y, y_peak, tol, y_roots[k])
+
+    def combinations():
+        for xc in x_roots:
+            if _reconstructs(xs, x_peak, tol, xc):
+                for k, yc in enumerate(y_roots):
+                    if y_holds(k):
+                        yield xc, yc
+
     best = None
-    for xe, ye in itertools.product(x_roots, y_roots):
-        theta, phi = xe.gamma, ye.gamma
+    for (_, theta, u), (_, phi, v) in combinations():
         if abs(math.cos(phi)) <= DEGENERACY_EPS:
             continue
         if abs(math.sin(phi - theta)) <= DEGENERACY_EPS:
             continue
-        x_alt = _bordered(xe.w_star, phi)
+        x_alt = _bordered(u, phi)
         coll = _collinearity(xs, x_alt)
         # The first combination under the bound wins.  Two decompositions
         # can share an angle by accident, so until then keep the
         # least-collinear valid combination as a fallback.
         if best is None or coll < best[0]:
-            best = (coll, x_alt, ye.w_star, theta)
+            best = (coll, x_alt, v, theta)
         if coll <= ATTACK_COLLINEARITY_BOUND:
             break
     if best is None:
+        x_count = sum(_reconstructs(xs, x_peak, tol, c) for c in x_roots)
+        y_count = sum(map(y_holds, range(len(y_roots))))
         raise AttackSearchError(
             "no valid angle combination: "
-            f"{len(x_roots)} real roots of x, {len(y_roots)} of -y, "
+            f"{x_count} real roots of x, {y_count} of -y, "
             f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
     coll, x_alt, v, theta = best
@@ -283,10 +304,6 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
         residual=residual,
         collinearity=coll,
     )
-
-
-def _peak(element: QuotientElement) -> float:
-    return float(np.abs(element.w_star).max())
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:

@@ -71,17 +71,29 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     empty for odd ``d``.
     Every quotient is verified by reconstruction before inclusion.
     """
+    ws = as_signal(w)
+    tol = tol or DEFAULT_TOL
+    peak, candidates = _candidates(ws, tol)
     elements: list[QuotientElement] = []
-    for root in _decompose(as_signal(w), tol or DEFAULT_TOL):
-        mirror = -root.w_star
-        mirror.flags.writeable = False
-        elements += (root, QuotientElement(w_star=mirror, gamma=root.gamma + math.pi))
+    for candidate in candidates:
+        if _reconstructs(ws, peak, tol, candidate):
+            _, gamma, w_star = candidate
+            mirror = -w_star
+            w_star.flags.writeable = mirror.flags.writeable = False
+            elements += (
+                QuotientElement(w_star=w_star, gamma=gamma),
+                QuotientElement(w_star=mirror, gamma=gamma + math.pi),
+            )
     return elements
 
 
-def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
-    """One factor pair per accepted real root of a trusted 1-D float64 array,
-    in increasing root order; mirrors are left to ``quotient_decompose``."""
+def _candidates(
+    ws: np.ndarray, tol: ToleranceProfile
+) -> tuple[float, list[tuple[float, float, np.ndarray]]]:
+    """The peak of a trusted 1-D float64 array and one unverified candidate
+    ``(max|w_star|, gamma, w_star)`` per distinct real root, in increasing
+    root order.  ``_reconstructs`` decides which candidates are factor pairs;
+    mirrors are left to ``quotient_decompose``."""
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     peak = float(np.abs(ws).max())
@@ -92,9 +104,9 @@ def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
             f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
         )
 
-    elements: list[QuotientElement] = []
+    candidates = []
     kept = -math.inf
-    for r in _real_roots(ws):
+    for r in _real_roots(ws, peak):
         if r - kept <= _ROOT_MERGE * (1.0 + abs(r)):
             continue  # near-duplicate of the last kept root
         kept = r
@@ -106,31 +118,38 @@ def _decompose(ws: np.ndarray, tol: ToleranceProfile) -> list[QuotientElement]:
             w_star = _divide_low(ws, a, b)
         else:
             w_star = _divide_low(ws[::-1], b, a)[::-1]
-        if not np.isfinite(w_star).all():
-            continue
-        residual = float(np.abs(_bordered(w_star, gamma) - ws).max())
-        # The acceptance scale includes the quotient itself: a genuine
-        # factor pair with large dynamic range (gamma near a multiple of
-        # pi/2) reconstructs w through cancellation of terms of size
-        # max|w_star|, so its float residual floor is eps * max|w_star|.
-        if residual <= tol._at(max(peak, float(np.abs(w_star).max()))):
-            w_star.flags.writeable = False
-            elements.append(QuotientElement(w_star=w_star, gamma=gamma))
-    return elements
+        w_peak = float(np.abs(w_star).max())
+        if w_peak < math.inf:  # false for inf and NaN alike
+            candidates.append((w_peak, gamma, w_star))
+    return peak, candidates
 
 
-def _real_roots(ws: np.ndarray) -> list[float]:
+def _reconstructs(ws: np.ndarray, peak: float, tol: ToleranceProfile, candidate) -> bool:
+    """Whether a candidate of ``_candidates(ws, tol)`` reproduces ``ws``,
+    whose largest |entry| is ``peak``, within tolerance."""
+    w_peak, gamma, w_star = candidate
+    residual = float(np.abs(_bordered(w_star, gamma) - ws).max())
+    # The acceptance scale includes the quotient itself: a genuine factor
+    # pair with large dynamic range (gamma near a multiple of pi/2)
+    # reconstructs w through cancellation of terms of size max|w_star|, so
+    # its float residual floor is eps * max|w_star|.
+    return residual <= tol._at(max(peak, w_peak))
+
+
+def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
     """The real roots of ``W(z) = sum_j ws(j) z^(j-1)`` in increasing order:
     the eigenvalues, inside ``_REAL_BAND`` of the real axis, of its companion
     matrix (first row ``-ws(d-1..1) / ws(d)``, ones on the subdiagonal, the
-    matrix numpy's ``roots`` builds)."""
-    n = ws.size - 1
-    comp = np.eye(n, k=-1, order="F")
-    comp[0] = -ws[-2::-1] / ws[-1]
-    if not np.isfinite(comp[0]).all():
+    matrix numpy's ``roots`` builds).  ``peak`` is the largest |entry| of
+    ``ws``; ``peak / |ws(d)|`` is the largest companion entry, or at most 1,
+    so a row that would overflow is refused before numpy divides."""
+    if not math.isfinite(peak / abs(float(ws[-1]))):
         raise RootFindingError(
             "companion eigenvalue solver failed: Array must not contain infs or NaNs"
         )
+    n = ws.size - 1
+    comp = np.eye(n, k=-1, order="F")
+    comp[0] = -ws[-2::-1] / ws[-1]
     wr, wi, _, _, info = dgeev(
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
     )

@@ -139,7 +139,7 @@ def attack_suite(
     even = np.arange(4, 17, 2)
     for i in range(n_trials):
         rng = trial_rng(seed, i)
-        m, n = int(rng.choice(even)), int(rng.choice(even))
+        m, n = int(even[rng.integers(even.size)]), int(even[rng.integers(even.size)])
         x = sample_signal(rng, m)
         y = sample_signal(rng, n)
         start = time.perf_counter()
@@ -177,7 +177,7 @@ def quotient_suite(
     dims = (4, 6, 8, 10)
     for i in range(n_trials):
         rng = trial_rng(seed, i)
-        d = int(rng.choice(dims))
+        d = dims[rng.integers(len(dims))]
         w = rng.uniform(-1.0, 1.0, d)
         for end in (0, d - 1):
             w[end] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
@@ -206,7 +206,7 @@ def quotient_suite(
     for k in range(forward):
         i = n_trials + k
         rng = trial_rng(seed, i)
-        d = int(rng.choice(dims))
+        d = dims[rng.integers(len(dims))]
         w_star = sample_signal(rng, d - 1)
         gamma = rng.uniform(0.2, np.pi / 2 - 0.2) + rng.integers(0, 4) * np.pi / 2
         w = reconstruct(w_star, float(gamma))

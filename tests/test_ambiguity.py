@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ambiconv import (
+    DEFAULT_TOL,
     AmbiguousPair,
     AttackSearchError,
+    ToleranceProfile,
     attack,
     bordered_y_form,
     collinearity,
@@ -45,16 +47,16 @@ def clustered_root_pair():
     return x, y
 
 
-def valid_combinations(x, y):
+def valid_combinations(x, y, tol=DEFAULT_TOL):
     """``(x_alt, y_alt, collinearity)`` of every combination the attack may
-    return, in its documented order: x-elements outer, y-elements inner,
-    each by increasing factor peak, degenerate angle pairs skipped."""
+    return at ``tol``, in its documented order: x-elements outer, y-elements
+    inner, each by increasing factor peak, degenerate angle pairs skipped."""
 
     def by_peak(elements):
         return sorted(elements, key=lambda e: float(np.max(np.abs(e.w_star))))
 
-    for xe in by_peak(quotient_decompose(x)):
-        for ye in by_peak(quotient_decompose(-np.asarray(y))):
+    for xe in by_peak(quotient_decompose(x, tol)):
+        for ye in by_peak(quotient_decompose(-np.asarray(y), tol)):
             theta, phi = xe.gamma, ye.gamma
             if min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS:
                 continue
@@ -201,17 +203,31 @@ class TestAttack:
             assert pair.residual <= 1e-8 * scale
             assert pair.collinearity <= 1.0 - 1e-6
 
-    def test_returns_first_combination_under_bound(self):
+    @pytest.mark.parametrize(
+        "tol, floor",
+        [(DEFAULT_TOL, 190), (ToleranceProfile(0.0, 1e-15), 120)],
+        ids=["default-tol", "tight-tol"],
+    )
+    def test_returns_first_combination_under_bound(self, tol, floor):
+        # At the tight tolerance about 30% of the factors fail the
+        # reconstruction check, often the smallest-peak one, so the attack's
+        # lazy verification has to skip them exactly as the full
+        # decomposition drops them.
         rng = np.random.default_rng(5)
         checked = 0
         for _ in range(200):
             m, n = rng.choice(np.arange(4, 17, 2), size=2)
             x, y = sample_signal(rng, m), sample_signal(rng, n)
-            pair = attack(x, y)
+            combinations = list(valid_combinations(x, y, tol))
+            if not combinations:
+                with pytest.raises(AttackSearchError):
+                    attack(x, y, tol)
+                continue
+            pair = attack(x, y, tol)
             if pair.collinearity > ATTACK_COLLINEARITY_BOUND:
                 continue  # the fallback, pinned below
             x_alt, y_alt, coll = next(
-                c for c in valid_combinations(x, y) if c[2] <= ATTACK_COLLINEARITY_BOUND
+                c for c in combinations if c[2] <= ATTACK_COLLINEARITY_BOUND
             )
             # A mirror element (-w_star, gamma + pi) only negates the pair.
             sign = 1.0 if np.array_equal(pair.x_alt, x_alt) else -1.0
@@ -219,7 +235,7 @@ class TestAttack:
             assert np.array_equal(pair.y_alt, sign * y_alt)
             assert pair.collinearity == coll
             checked += 1
-        assert checked >= 190
+        assert checked >= floor
 
     @pytest.mark.parametrize(
         "x, y",
@@ -243,6 +259,12 @@ class TestAttack:
         for _ in range(20):
             x, y = sample_signal(rng, d), sample_signal(rng, d)
             assert verify_pair(attack(x, y)).certifies_unidentifiability
+
+    def test_no_valid_combination_is_attack_search_error(self):
+        # X(z) = -Y(z) = (1 + z)(1 + z^2): one shared real root, so the only
+        # angle pair has phi == theta and is degenerate.
+        with pytest.raises(AttackSearchError, match="1 real roots of x, 1 of -y"):
+            attack([1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0])
 
     def test_rejects_odd_or_small_orders(self):
         with pytest.raises(ValueError):

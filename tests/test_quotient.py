@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,11 +159,14 @@ class TestDecompose:
 
     @pytest.mark.parametrize("w", [[1e-300, 1e300, 1e-300], [1e-300, 1.0, 1e300, 1e-300]])
     def test_nonfinite_companion_is_root_finding_error(self, w):
-        # The companion's first row -w(d-1..1) / w(d) overflows to -inf.
+        # The companion's first row -w(d-1..1) / w(d) would overflow to
+        # -inf; the input is refused before numpy divides, without a warning.
         from ambiconv.quotient import RootFindingError
 
-        with pytest.raises(RootFindingError, match="infs or NaNs"):
-            quotient_decompose(w, ToleranceProfile(0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError, match="infs or NaNs"):
+                quotient_decompose(w, ToleranceProfile(0.0, 0.0))
 
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_roots_agree_with_numpy_reference(self, scale):
