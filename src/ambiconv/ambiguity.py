@@ -237,8 +237,9 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     m, n = xs.size, ys.size
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
-    for name, vec in (("x", xs), ("y", ys)):
-        accept = tol._at(float(np.abs(vec).max()))
+    x_peak, y_peak = float(np.abs(xs).max()), float(np.abs(ys).max())
+    for name, vec, peak in (("x", xs, x_peak), ("y", ys, y_peak)):
+        accept = tol._at(peak)
         for end in (0, -1):
             if abs(vec[end]) <= accept:
                 raise ValueError(
@@ -252,8 +253,8 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # The sorts are stable, so checking each factor by reconstruction only
     # when the search reaches it keeps the order of sorting verified ones.
     neg_y = -ys
-    x_peak, x_roots = _candidates(xs, tol)
-    y_peak, y_roots = _candidates(neg_y, tol)
+    x_roots = _candidates(xs, x_peak)
+    y_roots = _candidates(neg_y, y_peak)
     x_roots.sort(key=lambda c: c[0])
     y_roots.sort(key=lambda c: c[0])
 

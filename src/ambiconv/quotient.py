@@ -73,9 +73,17 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     """
     ws = as_signal(w)
     tol = tol or DEFAULT_TOL
-    peak, candidates = _candidates(ws, tol)
+    if ws.size < 2:
+        raise ValueError("decomposition needs d >= 2")
+    peak = float(np.abs(ws).max())
+    accept = tol._at(peak)
+    if abs(ws[0]) <= accept or abs(ws[-1]) <= accept:
+        raise ValueError(
+            "endpoint entries w(1) and w(d) must be bounded away from zero "
+            f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
+        )
     elements: list[QuotientElement] = []
-    for candidate in candidates:
+    for candidate in _candidates(ws, peak):
         if _reconstructs(ws, peak, tol, candidate):
             _, gamma, w_star = candidate
             mirror = -w_star
@@ -87,23 +95,12 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     return elements
 
 
-def _candidates(
-    ws: np.ndarray, tol: ToleranceProfile
-) -> tuple[float, list[tuple[float, float, np.ndarray]]]:
-    """The peak of a trusted 1-D float64 array and one unverified candidate
-    ``(max|w_star|, gamma, w_star)`` per distinct real root, in increasing
-    root order.  ``_reconstructs`` decides which candidates are factor pairs;
-    mirrors are left to ``quotient_decompose``."""
-    if ws.size < 2:
-        raise ValueError("decomposition needs d >= 2")
-    peak = float(np.abs(ws).max())
-    accept = tol._at(peak)
-    if abs(ws[0]) <= accept or abs(ws[-1]) <= accept:
-        raise ValueError(
-            "endpoint entries w(1) and w(d) must be bounded away from zero "
-            f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
-        )
-
+def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndarray]]:
+    """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
+    real root of a trusted 1-D float64 array with largest |entry| ``peak``,
+    in increasing root order.  The caller has checked both endpoints against
+    the tolerance.  ``_reconstructs`` decides which candidates are factor
+    pairs; mirrors are left to ``quotient_decompose``."""
     candidates = []
     kept = -math.inf
     for r in _real_roots(ws, peak):
@@ -121,11 +118,11 @@ def _candidates(
         w_peak = float(np.abs(w_star).max())
         if w_peak < math.inf:  # false for inf and NaN alike
             candidates.append((w_peak, gamma, w_star))
-    return peak, candidates
+    return candidates
 
 
 def _reconstructs(ws: np.ndarray, peak: float, tol: ToleranceProfile, candidate) -> bool:
-    """Whether a candidate of ``_candidates(ws, tol)`` reproduces ``ws``,
+    """Whether a candidate of ``_candidates(ws, peak)`` reproduces ``ws``,
     whose largest |entry| is ``peak``, within tolerance."""
     w_peak, gamma, w_star = candidate
     residual = float(np.abs(_bordered(w_star, gamma) - ws).max())

@@ -5,10 +5,19 @@ element membership across the constructor grid, kernel dimension audit, and
 the two-row structural check.  Per-trial randomness derives from the pair
 (seed, trial index), so each trial, and so any failure row, is reproducible
 from (seed, index) alone.
+
+Each suite is a generator of cases, drawn outside the timed span, and one
+driver runs them all: it times each check, records a check that raises as a
+failed row whose failure carries the error, and builds the reproducer dump
+of failed rows only.  With ``--timing`` a row's ``wall_time_s`` covers
+``attack`` plus its acceptance test, ``quotient_decompose`` plus the
+round-trip, one constructor's lift and rank check, or ``kernel_basis`` plus
+its audit.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -96,22 +105,11 @@ class TrialReport:
     CSV_COLUMNS = ("suite", "index", "m", "n", "d", "label", "success", "residual", "collinearity")
 
     def to_csv_rows(self) -> list[list]:
-        rows = []
-        for r in self.rows:
-            rows.append(
-                [
-                    self.suite,
-                    r.index,
-                    r.dims.get("m", ""),
-                    r.dims.get("n", ""),
-                    r.dims.get("d", ""),
-                    r.label,
-                    int(r.success),
-                    r.residual,
-                    "" if r.collinearity is None else r.collinearity,
-                ]
-            )
-        return rows
+        return [
+            [self.suite, r.index, *(r.dims.get(k, "") for k in "mnd"), r.label]
+            + [int(r.success), r.residual, "" if r.collinearity is None else r.collinearity]
+            for r in self.rows
+        ]
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -130,106 +128,101 @@ def sample_signal(
     return vec
 
 
+def _campaign(suite: str, seed: int, cases) -> TrialReport:
+    """Run cases ``(index, dims, label, failure, check)``, each as it is drawn,
+    so its callables may read the generator's current locals.  ``check()``
+    returns ``(ok, residual, collinearity)``; one that raises is a failed row.
+    ``failure()`` returns a failed row's dump, less its index and error."""
+    report, clock = TrialReport(suite=suite, seed=seed), time.perf_counter
+    for index, dims, label, failure, check in cases:
+        error = {}
+        start = clock()
+        try:
+            ok, residual, coll = check()
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            ok, residual, coll, error = False, float("inf"), None, {"error": str(exc)}
+        elapsed = clock() - start
+        if not ok:
+            report.failures.append({"index": index, **failure(), **error})
+        report.rows.append(TrialRow(index, dims, bool(ok), residual, coll, elapsed, label))
+    return report
+
+
 def attack_suite(
     n_trials: int, seed: int, tol: ToleranceProfile | None = None
 ) -> TrialReport:
     """Adversarial pairs for random even dimensions in [4, 16]."""
-    tol = tol or DEFAULT_TOL
-    report = TrialReport(suite="attack", seed=seed)
+    return _campaign("attack", seed, _attack_cases(n_trials, seed, tol or DEFAULT_TOL))
+
+
+def _attack_cases(n_trials: int, seed: int, tol: ToleranceProfile):
     even = np.arange(4, 17, 2)
     for i in range(n_trials):
         rng = trial_rng(seed, i)
         m, n = int(even[rng.integers(even.size)]), int(even[rng.integers(even.size)])
         x = sample_signal(rng, m)
         y = sample_signal(rng, n)
-        start = time.perf_counter()
-        error = None
-        try:
+
+        def check():
             pair = attack(x, y, tol)
             scale = float(np.max(np.abs(np.convolve(x, y))))
             ok = (
                 pair.residual <= ATTACK_RESIDUAL_REL * scale
                 and pair.collinearity <= ATTACK_COLLINEARITY_BOUND
             )
-            residual, coll = pair.residual, pair.collinearity
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            ok, residual, coll = False, float("inf"), None
-            error = str(exc)
-        elapsed = time.perf_counter() - start
-        if not ok:
-            # reproducer dump: the row plus raw inputs suffice to rerun
-            failure = {"index": i, "x": x.tolist(), "y": y.tolist()}
-            if error is not None:
-                failure["error"] = error
-            report.failures.append(failure)
-        report.rows.append(
-            TrialRow(i, {"m": m, "n": n}, ok, residual, coll, elapsed)
-        )
-    return report
+            return ok, pair.residual, pair.collinearity
+
+        # the row plus the raw inputs suffice to rerun a failure
+        yield i, {"m": m, "n": n}, "", lambda: {"x": x.tolist(), "y": y.tolist()}, check
 
 
 def quotient_suite(
     n_trials: int, seed: int, tol: ToleranceProfile | None = None
 ) -> TrialReport:
     """Random even-d draws plus forward-generated round-trip instances."""
-    tol = tol or DEFAULT_TOL
-    report = TrialReport(suite="quotient", seed=seed)
+    return _campaign("quotient", seed, _quotient_cases(n_trials, seed, tol or DEFAULT_TOL))
+
+
+def _quotient_cases(n_trials: int, seed: int, tol: ToleranceProfile):
     dims = (4, 6, 8, 10)
+
+    def errors(w: np.ndarray) -> tuple[list[float], float]:
+        """Reconstruction errors of the decomposition of w, and max|w|."""
+        elements = quotient_decompose(w, tol)
+        errs = [float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w))) for e in elements]
+        return errs, float(np.max(np.abs(w)))
+
     for i in range(n_trials):
         rng = trial_rng(seed, i)
         d = dims[rng.integers(len(dims))]
         w = rng.uniform(-1.0, 1.0, d)
         for end in (0, d - 1):
             w[end] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        start = time.perf_counter()
-        elements = quotient_decompose(w, tol)
-        scale = float(np.max(np.abs(w)))
-        worst = max(
-            (
-                float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w)))
-                for e in elements
-            ),
-            default=float("inf"),
-        )
-        ok = (
-            0 < len(elements) <= 2 * d - 2
-            and worst <= QUOTIENT_RESIDUAL_REL * scale
-        )
-        elapsed = time.perf_counter() - start
-        if not ok:
-            report.failures.append({"index": i, "w": w.tolist(), "count": len(elements)})
-        report.rows.append(
-            TrialRow(i, {"d": d}, ok, worst if elements else float("inf"), None, elapsed)
-        )
+        seen = {}
 
-    forward = max(1, n_trials // 5)
-    for k in range(forward):
-        i = n_trials + k
+        def check():
+            errs, scale = errors(w)
+            seen["count"] = len(errs)
+            worst = max(errs, default=float("inf"))
+            ok = 0 < len(errs) <= 2 * d - 2 and worst <= QUOTIENT_RESIDUAL_REL * scale
+            return ok, worst, None
+
+        yield i, {"d": d}, "", lambda: {"w": w.tolist(), **seen}, check
+
+    for i in range(n_trials, n_trials + max(1, n_trials // 5)):
         rng = trial_rng(seed, i)
         d = dims[rng.integers(len(dims))]
         w_star = sample_signal(rng, d - 1)
         gamma = rng.uniform(0.2, np.pi / 2 - 0.2) + rng.integers(0, 4) * np.pi / 2
         w = reconstruct(w_star, float(gamma))
-        start = time.perf_counter()
-        elements = quotient_decompose(w, tol)
-        scale = float(np.max(np.abs(w)))
-        best = min(
-            (
-                float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w)))
-                for e in elements
-            ),
-            default=float("inf"),
-        )
-        ok = best <= QUOTIENT_RESIDUAL_REL * scale
-        elapsed = time.perf_counter() - start
-        if not ok:
-            report.failures.append(
-                {"index": i, "w_star": w_star.tolist(), "gamma": float(gamma)}
-            )
-        report.rows.append(
-            TrialRow(i, {"d": d}, ok, best, None, elapsed, label="forward")
-        )
-    return report
+
+        def check():
+            errs, scale = errors(w)
+            best = min(errs, default=float("inf"))
+            return best <= QUOTIENT_RESIDUAL_REL * scale, best, None
+
+        failure = lambda: {"w_star": w_star.tolist(), "gamma": float(gamma)}  # noqa: E731
+        yield i, {"d": d}, "forward", failure, check
 
 
 def nullspace_suite(
@@ -240,85 +233,73 @@ def nullspace_suite(
     tol: ToleranceProfile | None = None,
 ) -> TrialReport:
     """Constructor grid: every output must lift to ~0 and have rank <= 2."""
-    tol = tol or DEFAULT_TOL
-    report = TrialReport(suite="nullspace", seed=seed)
-    index = 0
-    for m in range(2, mmax + 1):
-        for n in range(2, nmax + 1):
-            for k in range(draws):
-                rng = trial_rng(seed, index)
-                start = time.perf_counter()
-                candidates = [
-                    ("n0", n0_element(rng.uniform(-1, 1, m - 1), rng.uniform(-1, 1, n - 1))),
-                    ("n2", n2_generate(m, n, seed=int(rng.integers(2**32)))[0]),
-                ]
-                if m == n and m >= 3:
-                    candidates.append(
-                        ("m2", m2_element(sample_signal(rng, n - 2), float(rng.uniform(0.5, 2.0))))
-                    )
-                elapsed = time.perf_counter() - start
-                # Constructor outputs are trusted float64 matrices.
-                for label, q in candidates:
-                    scale = float(np.max(np.abs(q)))
-                    residual = float(np.max(np.abs(_lift(q))))
-                    ok = residual <= CONSTRUCTOR_LIFT_REL * scale and _rank(q, tol) <= 2
-                    if not ok:
-                        report.failures.append(
-                            {"index": index, "constructor": label, "m": m, "n": n, "draw": k}
-                        )
-                    report.rows.append(
-                        TrialRow(
-                            index, {"m": m, "n": n}, ok, residual, None, elapsed, label=label
-                        )
-                    )
-                index += 1
-    return report
+    return _campaign(
+        "nullspace", seed, _nullspace_cases(mmax, nmax, draws, seed, tol or DEFAULT_TOL)
+    )
+
+
+def _nullspace_cases(mmax: int, nmax: int, draws: int, seed: int, tol: ToleranceProfile):
+    grid = itertools.product(range(2, mmax + 1), range(2, nmax + 1), range(draws))
+    for index, (m, n, k) in enumerate(grid):
+        rng = trial_rng(seed, index)
+        candidates = [
+            ("n0", n0_element(rng.uniform(-1, 1, m - 1), rng.uniform(-1, 1, n - 1))),
+            ("n2", n2_generate(m, n, seed=int(rng.integers(2**32)))[0]),
+        ]
+        if m == n and m >= 3:
+            candidates.append(
+                ("m2", m2_element(sample_signal(rng, n - 2), float(rng.uniform(0.5, 2.0))))
+            )
+        for label, q in candidates:
+            # Constructor outputs are trusted float64 matrices.
+            def check():
+                scale = float(np.max(np.abs(q)))
+                residual = float(np.max(np.abs(_lift(q))))
+                ok = residual <= CONSTRUCTOR_LIFT_REL * scale and _rank(q, tol) <= 2
+                return ok, residual, None
+
+            failure = lambda: {"constructor": label, "m": m, "n": n, "draw": k}  # noqa: E731
+            yield index, {"m": m, "n": n}, label, failure, check
 
 
 def kernel_suite(mmax: int = 10, nmax: int = 10) -> TrialReport:
     """Kernel dimension audit: mn - (m+n-1) basis elements, all in the kernel."""
-    report = TrialReport(suite="kernel", seed=0)
-    index = 0
-    for m in range(1, mmax + 1):
-        for n in range(1, nmax + 1):
-            start = time.perf_counter()
+    return _campaign("kernel", 0, _kernel_cases(mmax, nmax))
+
+
+def _kernel_cases(mmax: int, nmax: int):
+    grid = itertools.product(range(1, mmax + 1), range(1, nmax + 1))
+    for index, (m, n) in enumerate(grid):
+        seen = {}
+
+        def check():
             basis = kernel_basis(m, n)
+            seen["count"] = len(basis)
             expected = 0 if (m == 1 or n == 1) else m * n - (m + n - 1)
-            worst = max(
-                (float(np.max(np.abs(_lift(q)))) for q in basis), default=0.0
-            )
-            ok = len(basis) == expected and worst == 0.0
-            elapsed = time.perf_counter() - start
-            if not ok:
-                report.failures.append({"index": index, "m": m, "n": n, "count": len(basis)})
-            report.rows.append(
-                TrialRow(index, {"m": m, "n": n}, ok, worst, None, elapsed)
-            )
-            index += 1
-    return report
+            worst = max((float(np.max(np.abs(_lift(q)))) for q in basis), default=0.0)
+            return len(basis) == expected and worst == 0.0, worst, None
+
+        yield index, {"m": m, "n": n}, "", lambda: {"m": m, "n": n, **seen}, check
 
 
 def structure_suite(nmax: int = 12) -> TrialReport:
     """Two-row structural check: basis elements of (2, n) satisfy
     Q(1,1) = Q(2,n) = 0 and Q(1, 2:n) = -Q(2, 1:n-1)."""
-    report = TrialReport(suite="structure", seed=0)
+    return _campaign("structure", 0, _structure_cases(nmax))
+
+
+def _structure_cases(nmax: int):
     for index, n in enumerate(range(2, nmax + 1)):
-        start = time.perf_counter()
-        basis = kernel_basis(2, n)
-        worst = 0.0
-        for q in basis:
-            worst = max(
-                worst,
-                abs(q[0, 0]),
-                abs(q[1, n - 1]),
-                float(np.max(np.abs(q[0, 1:] + q[1, : n - 1]))),
-            )
-        ok = len(basis) == n - 1 and worst <= STRUCTURE_TOL
-        elapsed = time.perf_counter() - start
-        if not ok:
-            report.failures.append({"index": index, "n": n})
-        report.rows.append(TrialRow(index, {"m": 2, "n": n}, ok, worst, None, elapsed))
-    return report
+
+        def check():
+            basis = kernel_basis(2, n)
+            worst = 0.0
+            for q in basis:
+                edge = float(np.max(np.abs(q[0, 1:] + q[1, : n - 1])))
+                worst = max(worst, abs(q[0, 0]), abs(q[1, n - 1]), edge)
+            return len(basis) == n - 1 and worst <= STRUCTURE_TOL, worst, None
+
+        yield index, {"m": 2, "n": n}, "", lambda: {"n": n}, check
 
 
 def run_suite(

@@ -1,10 +1,19 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ambiconv import trials
 from ambiconv.cli import main
 from ambiconv.core import matrix_to_json, signal_to_json
+from ambiconv.quotient import RootFindingError
+
+DATA = Path(__file__).parent / "data"
+# Trial report layouts recorded from the CLI before the suites shared one
+# campaign driver.  Float residuals are left out: they can differ across
+# BLAS builds.
+TRIALS_LAYOUT = json.loads((DATA / "trials_layout.json").read_text())
 
 
 def write_signal(path, entries):
@@ -189,6 +198,60 @@ class TestTrialsCommand:
         )
         assert code == 0
         assert "wall_time_s" in out
+
+    @pytest.mark.parametrize(
+        "argv, recorded",
+        [
+            ("kernel --mmax 5 --nmax 5", "trials_kernel_mmax5_nmax5.json"),
+            ("structure --nmax 6", "trials_structure_nmax6.json"),
+        ],
+    )
+    def test_exact_reports_are_pinned(self, argv, recorded, capsys):
+        code, out, _ = run(capsys, ["trials", "--suite", *argv.split()])
+        assert code == 0
+        assert out == (DATA / recorded).read_text()
+
+    @pytest.mark.parametrize("argv", sorted(TRIALS_LAYOUT))
+    def test_report_layout_is_pinned(self, argv, capsys):
+        expected = TRIALS_LAYOUT[argv]
+        code, out, _ = run(capsys, ["trials", "--suite", *argv.split()])
+        report = json.loads(out)
+        assert code == expected["exit"]
+        rows = [[r["index"], r["dims"], r.get("label", ""), r["success"]] for r in report["rows"]]
+        assert rows == expected["rows"]
+        assert [sorted(f) for f in report["failures"]] == expected["failure_keys"]
+
+    def test_failed_structure_row_still_writes_report(self, monkeypatch, capsys):
+        kernel_basis = trials.kernel_basis
+
+        def perturbed(m, n):
+            basis = [q.copy() for q in kernel_basis(m, n)]
+            if n == 4:
+                basis[0][0, 0] = 1e-3
+            return basis
+
+        monkeypatch.setattr(trials, "kernel_basis", perturbed)
+        code, out, _ = run(capsys, ["trials", "--suite", "structure", "--nmax", "6"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["successes"] == report["trials"] - 1 == 4
+        assert report["failures"] == [{"index": 2, "n": 4}]
+
+    def test_raising_check_is_failed_row(self, monkeypatch, capsys):
+        message = "companion eigenvalue solver failed: Eigenvalues did not converge"
+
+        def fails(w, tol=None):
+            raise RootFindingError(message)
+
+        monkeypatch.setattr(trials, "quotient_decompose", fails)
+        code, out, _ = run(capsys, ["trials", "--suite", "quotient", "--n", "10", "--seed", "7"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["trials"] == 12
+        assert not any(r["success"] for r in report["rows"])
+        assert all(r["residual"] == float("inf") for r in report["rows"])
+        assert [f["index"] for f in report["failures"]] == list(range(12))
+        assert all(f["error"] == message for f in report["failures"])
 
 
 class TestErrorPaths:
