@@ -5,16 +5,18 @@ of its anti-diagonal sums; on a rank-one matrix ``outer(x, y)`` it reproduces
 the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
-``np.convolve`` and one ``np.bincount`` over the anti-diagonal indices.
+``np.convolve`` and one ``np.bincount`` over the anti-diagonal indices; the
+rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3
 
 
 @dataclass(frozen=True)
@@ -183,21 +185,28 @@ def antidiagonal_shift(wp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
-    """Numerical rank via column-pivoted QR.
+    """Numerical rank: one LAPACK ``dgeqp3`` (pivoted QR), optimal workspace.
 
     Counts pivots of the triangular factor whose magnitude exceeds the
     tol-scaled threshold; exact on modest integer-valued matrices.
     """
-    return _rank(as_matrix(w), tol or DEFAULT_TOL)
+    ws = as_matrix(w)
+    return _rank(ws, (tol or DEFAULT_TOL)._at(float(np.abs(ws).max())))
 
 
-def _rank(w: np.ndarray, tol: ToleranceProfile) -> int:
-    """``rank_estimate`` on a trusted 2-D float64 array."""
+def _rank(w: np.ndarray, thresh: float) -> int:
+    """``rank_estimate`` on a trusted 2-D float64 array and its threshold."""
     if not w.any():
         return 0
-    r = scipy.linalg.qr(w, mode="r", pivoting=True)[0]
-    pivots = np.abs(np.diag(r))
-    return int(np.count_nonzero(pivots > tol.threshold(w)))
+    r = dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
+    return int(np.count_nonzero(np.abs(r.diagonal()) > thresh))
+
+
+@functools.lru_cache(maxsize=None)
+def _qr_workspace(m: int, n: int) -> int:
+    """LAPACK's optimal ``dgeqp3`` workspace, which ``scipy.linalg.qr`` queries
+    per call; from min(m, n) = 129 less takes a path that rounds differently."""
+    return int(dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
 
 
 # --- JSON wire formats -----------------------------------------------------

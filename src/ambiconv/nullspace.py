@@ -241,13 +241,9 @@ def n2_generate(
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")
-    if m > n:
-        cert = _transpose_certificate(n2_generate(n, m, seed, tol)[1])
-        return certificate_to_matrix(cert), cert
-
     rng = np.random.default_rng(seed)
-    p, q = rng.uniform(-1.0, 1.0, (2, m))
-    b = rng.uniform(-1.0, 1.0, n - m + 1)
+    p, q = rng.uniform(-1.0, 1.0, (2, min(m, n)))
+    b = rng.uniform(-1.0, 1.0, abs(n - m) + 1)
     # A = q0 P - p0 Q has no constant term, B = q[-1] P - p[-1] Q no leading
     # term, and the change of basis has determinant c.  So with P' = A / (cz)
     # and Q' = B, P(s)Q(t) - Q(s)P(t) = s P'(s)Q'(t) - t Q'(s)P'(t): W embeds
@@ -266,6 +262,8 @@ def n2_generate(
     cert: NullspaceCertificate = N0Certificate(u=u1, v=v1)
     for u1, v1, u2, v2 in reversed(levels):
         cert = N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=cert)
+    if m > n:
+        cert = _transpose_certificate(cert)
     return certificate_to_matrix(cert), cert
 
 
@@ -321,14 +319,13 @@ def kernel_basis(m: int, n: int) -> list[np.ndarray]:
 
 def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
     """True iff rank <= 2 and the anti-diagonal sums vanish at tol scale."""
-    return _in_rank2_nullspace(as_matrix(w), tol or DEFAULT_TOL)
+    ws = as_matrix(w)
+    return _in_rank2_nullspace(ws, (tol or DEFAULT_TOL)._at(float(np.abs(ws).max())))
 
 
-def _in_rank2_nullspace(w: np.ndarray, tol: ToleranceProfile) -> bool:
-    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array."""
-    if _rank(w, tol) > 2:
-        return False
-    return float(np.max(np.abs(_lift(w)))) <= tol.threshold(w)
+def _in_rank2_nullspace(w: np.ndarray, thresh: float) -> bool:
+    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array and its threshold."""
+    return _rank(w, thresh) <= 2 and float(np.max(np.abs(_lift(w)))) <= thresh
 
 
 # --- structural classifier ---------------------------------------------------
@@ -348,11 +345,12 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     """
     ws = as_matrix(w)
     tol = tol or DEFAULT_TOL
-    if not ws.any():
+    peak = float(np.abs(ws).max())
+    if peak == 0.0:
         raise ValueError("cannot classify the zero matrix")
-    if not _in_rank2_nullspace(ws, tol):
+    if not _in_rank2_nullspace(ws, tol._at(peak)):
         raise ValueError("matrix is not in the rank-two kernel at this tolerance")
-    cert = _classify_cert(ws, tol)
+    cert = _classify_cert(ws, tol, peak)
     if isinstance(cert, RawCertificate):
         residual = 0.0
     else:
@@ -360,23 +358,24 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     return ClassifiedElement(matrix=ws, certificate=cert, refactorization_residual=residual)
 
 
-def _classify_cert(w: np.ndarray, tol: ToleranceProfile) -> NullspaceCertificate:
+def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> NullspaceCertificate:
+    """The certificate of a trusted 2-D float64 array with largest |entry| ``peak``."""
     m, n = w.shape
-    thresh = tol.threshold(w)
+    thresh = tol._at(peak)
 
     # Two-row (two-column) elements always factor as bordered products:
     # row 1 is (0, v) and row 2 is (-v, 0), regardless of corner entries.
     if m == 2:
         return N0Certificate(u=_readonly(np.ones(1)), v=_readonly(w[0, 1:]))
     if n == 2:
-        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol))
+        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol, peak))
 
     corner_bl = abs(w[m - 1, 0])
     corner_tr = abs(w[0, n - 1])
     if corner_bl <= thresh and corner_tr <= thresh:
         return RawCertificate()
     if corner_tr > corner_bl:
-        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol))
+        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol, peak))
 
     # W = E_TR(u1 v1^T) + E_BL(u2 v2^T).  Only the bottom-left block reaches
     # the first column and the last row, so it is read off directly.
@@ -394,6 +393,7 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile) -> NullspaceCertificate
 
     inner = np.outer(u1, v1) + np.outer(u2, v2)
     u1, u2, v1, v2 = map(_readonly, (u1, u2, v1, v2))
-    if float(np.max(np.abs(inner))) <= thresh:
+    inner_peak = float(np.max(np.abs(inner)))
+    if inner_peak <= thresh:
         return N0Certificate(u=u1, v=v1)
-    return N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=_classify_cert(inner, tol))
+    return N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=_classify_cert(inner, tol, inner_peak))

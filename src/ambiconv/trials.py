@@ -51,7 +51,7 @@ class TrialRow:
             "index": self.index,
             "dims": self.dims,
             "success": bool(self.success),
-            "residual": float(self.residual),
+            "residual": _json_float(self.residual),
             "collinearity": None if self.collinearity is None else float(self.collinearity),
         }
         if self.label:
@@ -97,7 +97,7 @@ class TrialReport:
             "trials": self.trials,
             "successes": self.successes,
             "success_rate": self.success_rate,
-            "max_residual": self.max_residual,
+            "max_residual": _json_float(self.max_residual),
             "rows": [r.to_json(include_timing) for r in self.rows],
             "failures": self.failures,
         }
@@ -110,6 +110,11 @@ class TrialReport:
             + [int(r.success), r.residual, "" if r.collinearity is None else r.collinearity]
             for r in self.rows
         ]
+
+
+def _json_float(value: float) -> float | None:
+    """Strict JSON has no ``Infinity`` or ``NaN``: a non-finite value is null."""
+    return float(value) if np.isfinite(value) else None
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -255,7 +260,7 @@ def _nullspace_cases(mmax: int, nmax: int, draws: int, seed: int, tol: Tolerance
             def check():
                 scale = float(np.max(np.abs(q)))
                 residual = float(np.max(np.abs(_lift(q))))
-                ok = residual <= CONSTRUCTOR_LIFT_REL * scale and _rank(q, tol) <= 2
+                ok = residual <= CONSTRUCTOR_LIFT_REL * scale and _rank(q, tol._at(scale)) <= 2
                 return ok, residual, None
 
             failure = lambda: {"constructor": label, "m": m, "n": n, "draw": k}  # noqa: E731

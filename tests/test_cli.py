@@ -237,6 +237,20 @@ class TestTrialsCommand:
         assert report["successes"] == report["trials"] - 1 == 4
         assert report["failures"] == [{"index": 2, "n": 4}]
 
+    def test_report_is_strict_json(self, capsys):
+        argv = "trials --suite attack --n 5 --seed 1 --tol-rel 1e-17 --tol-abs 0"
+        code, out, _ = run(capsys, argv.split())
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert code == 1
+        # No row finds an element at this tolerance: a failed check's
+        # infinite residual is written as null.
+        assert report["max_residual"] is None
+        assert [r["residual"] for r in report["rows"]] == [None] * 5
+
     def test_raising_check_is_failed_row(self, monkeypatch, capsys):
         message = "companion eigenvalue solver failed: Eigenvalues did not converge"
 
@@ -249,7 +263,7 @@ class TestTrialsCommand:
         report = json.loads(out)
         assert report["trials"] == 12
         assert not any(r["success"] for r in report["rows"])
-        assert all(r["residual"] == float("inf") for r in report["rows"])
+        assert all(r["residual"] is None for r in report["rows"])
         assert [f["index"] for f in report["failures"]] == list(range(12))
         assert all(f["error"] == message for f in report["failures"])
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,8 @@ from ambiconv import (
     signal_from_json,
     signal_to_json,
 )
-from ambiconv.nullspace import n0_element
+from ambiconv.core import DEFAULT_TOL, _rank
+from ambiconv.nullspace import n0_element, n2_generate
 from oracles import antidiagonal_sums_brute, convolve_brute, rank_fraction
 
 X1 = [1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1]
@@ -236,6 +238,36 @@ class TestOuterAndRank:
             v = rng.integers(-5, 6, n - 1).astype(float)
             q = n0_element(u, v)
             assert rank_estimate(q) == rank_fraction(q) <= 2
+
+    # scipy.linalg.qr(mode="r", pivoting=True) is the reference: the same
+    # LAPACK dgeqp3 with the optimal workspace it queries on every call.
+    # Past LAPACK's blocked-QR crossover (min(m, n) > 128 with the reference
+    # ilaenv) a smaller workspace takes the unblocked path and rounds
+    # differently, so (136, 140) pins the workspace too.
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 9), (9, 1), (2, 2), (10, 10), (40, 40), (64, 68), (136, 140)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_rank_matches_pivoted_qr_reference(self, shape):
+        m, n = shape
+        rng = np.random.default_rng(m * 1000 + n)
+        mats = [np.zeros(shape)]
+        for r in (1, 2, 3):
+            a = rng.integers(-5, 6, (m, r)).astype(float)
+            mats.append(a @ rng.integers(-5, 6, (r, n)).astype(float))
+        if min(shape) >= 2:
+            mats += [n2_generate(m, n, seed)[0] for seed in range(2)]
+        for w in mats:
+            pivots = np.abs(np.diag(scipy.linalg.qr(w, mode="r", pivoting=True)[0]))
+            expected = int(np.count_nonzero(pivots > DEFAULT_TOL.threshold(w)))
+            assert _rank(w, DEFAULT_TOL.threshold(w)) == rank_estimate(w) == expected
+            # The count at a reference pivot and one ulp below it matches only
+            # if that pivot magnitude agrees bit for bit; sample 8 of them.
+            if w.any():
+                for p in pivots[:: max(1, pivots.size // 8)]:
+                    for t in (p, np.nextafter(p, -np.inf)):
+                        assert _rank(w, t) == np.count_nonzero(pivots > t)
 
 
 class TestJson:

@@ -23,6 +23,7 @@ from ambiconv import (
     outer,
     rank_estimate,
 )
+from ambiconv.nullspace import _transpose_certificate
 from oracles import antidiagonal_sums_brute, operator_matrix
 
 
@@ -190,6 +191,15 @@ class TestN2Generate:
         assert rank_estimate(matrix) <= 2
         rebuilt = certificate_to_matrix(cert)
         assert np.max(np.abs(rebuilt - matrix)) <= 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (5, 3), (9, 4), (12, 11), (30, 7)])
+    def test_tall_element_is_wide_element_transposed(self, m, n):
+        for seed in range(3):
+            tall, tall_cert = n2_generate(m, n, seed)
+            wide, wide_cert = n2_generate(n, m, seed)
+            assert tall.tobytes() == np.ascontiguousarray(wide.T).tobytes()
+            transposed = _transpose_certificate(wide_cert)
+            assert certificate_to_json(tall_cert) == certificate_to_json(transposed)
 
 
 class TestM2Element:
