@@ -33,7 +33,7 @@ from .core import (
     signal_from_json,
     signal_to_json,
 )
-from .quotient import _bordered, _candidates, _reconstructs
+from .quotient import _bordered, _candidates, _reconstructs, _usable
 
 # Angle combinations closer than this to the degenerate set (cos(phi) = 0 or
 # phi = theta mod pi) are skipped during the attack's candidate search.
@@ -43,8 +43,8 @@ DEGENERACY_EPS = 1e-6
 # is treated as the scaling equivalence class, not a genuine ambiguity.
 COLLINEARITY_MARGIN = 1e-9
 
-# The attack aims for certificates at least this far from collinear; angle
-# combinations above the bound are only used when no better one exists.
+# The attack's search preference, not a certification rule: combinations
+# above this collinearity are used only when no better one exists.
 ATTACK_COLLINEARITY_BOUND = 1.0 - 1e-6
 
 
@@ -182,17 +182,15 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
         raise ValueError(
             "no pathological zero pattern: need x(m) = y(1) = 0 or x(1) = y(n) = 0"
         )
-    x_alt.flags.writeable = False
-    y_alt.flags.writeable = False
-    residual = float(np.max(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt))))
-    return AmbiguousPair(
-        x=xs,
-        y=ys,
-        x_alt=x_alt,
-        y_alt=y_alt,
-        residual=residual,
-        collinearity=_collinearity(xs, x_alt),
-    )
+    return _pair(xs, ys, x_alt, y_alt, _collinearity(xs, x_alt))
+
+
+def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
+    """The certificate pair ``(x_alt, y_alt)`` of trusted arrays ``(xs, ys)``,
+    frozen, with its convolution residual and first-factor collinearity."""
+    x_alt.flags.writeable = y_alt.flags.writeable = False
+    residual = float(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt)).max())
+    return AmbiguousPair(xs, ys, x_alt, y_alt, residual, coll)
 
 
 def bordered_y_form(v, angle: float) -> np.ndarray:
@@ -224,29 +222,21 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     at most ``DEGENERACY_EPS`` are skipped.  Enumeration is deterministic
     (one element per real root, as mirrors only negate the certificate;
     x outer, y inner, small factor magnitudes first) and the first
-    combination whose certificate factor stays non-collinear within
-    ``ATTACK_COLLINEARITY_BOUND`` wins; if the two decompositions share
-    every angle by accident, the least-collinear valid combination is
-    returned instead.  Each factor is verified by reconstruction, as in
-    ``quotient_decompose``, when the search reaches it: the result is the
-    one the full decompositions would give, without checking the factors
-    after the winning combination.
+    combination with collinearity at most ``ATTACK_COLLINEARITY_BOUND``, a
+    search preference only, wins; when every valid combination lies above
+    it (one real root in each signal, or clustered roots), the
+    least-collinear one is returned instead.  Certification is
+    ``verify_pair``'s rule either way.  Each factor is verified by
+    reconstruction, as in ``quotient_decompose``, when the search reaches
+    it: the result is the one the full decompositions would give, without
+    checking the factors after the winning combination.
     """
     xs, ys = as_signal(x), as_signal(y)
     tol = tol or DEFAULT_TOL
     m, n = xs.size, ys.size
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
-    x_peak, y_peak = float(np.abs(xs).max()), float(np.abs(ys).max())
-    for name, vec, peak in (("x", xs, x_peak), ("y", ys, y_peak)):
-        accept = tol._at(peak)
-        for end in (0, -1):
-            if abs(vec[end]) <= accept:
-                raise ValueError(
-                    f"endpoint {name}({end % vec.size + 1}) is too close to zero "
-                    "for the decomposition (the border zero patterns are handled "
-                    "by shift_ambiguity instead)"
-                )
+    x_peak, y_peak = _usable(xs, tol, "x"), _usable(ys, tol, "y")
     # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
@@ -293,18 +283,7 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
             f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
     coll, x_alt, v, theta = best
-    y_alt = -_bordered(v, theta)
-    x_alt.flags.writeable = False
-    y_alt.flags.writeable = False
-    residual = float(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt)).max())
-    return AmbiguousPair(
-        x=xs,
-        y=ys,
-        x_alt=x_alt,
-        y_alt=y_alt,
-        residual=residual,
-        collinearity=coll,
-    )
+    return _pair(xs, ys, x_alt, -_bordered(v, theta), coll)
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:

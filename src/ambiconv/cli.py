@@ -6,7 +6,8 @@ All commands read and write the JSON wire formats of the library (signals as
 [[row], ...]}``).  Output is deterministic for a fixed configuration: JSON is
 dumped with sorted keys, and timing is excluded unless requested.
 
-Exit codes: 0 success, 1 property or check failure, 2 usage error.
+Exit codes: 0 success, 1 property or check failure (also a numerical failure,
+or a reader that closed the output pipe early), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -373,7 +375,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the Python docs advise: Python flushes stdout again at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     except InputError as exc:
         _structured_error(exc.code, str(exc), exc.path)
         return EXIT_USAGE

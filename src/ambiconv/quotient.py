@@ -29,7 +29,9 @@ from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
-_REAL_BAND = 1e-8
+# A double root splits into a complex pair up to about 1e-7 off the axis;
+# the band keeps it, and reconstruction decides whether it is a factor.
+_REAL_BAND = 1e-6
 _ROOT_MERGE = 1e-8
 
 
@@ -75,13 +77,7 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     tol = tol or DEFAULT_TOL
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
-    peak = float(np.abs(ws).max())
-    accept = tol._at(peak)
-    if abs(ws[0]) <= accept or abs(ws[-1]) <= accept:
-        raise ValueError(
-            "endpoint entries w(1) and w(d) must be bounded away from zero "
-            f"(|{ws[0]:.3e}|, |{ws[-1]:.3e}| vs threshold {accept:.3e})"
-        )
+    peak = _usable(ws, tol, "w")
     elements: list[QuotientElement] = []
     for candidate in _candidates(ws, peak):
         if _reconstructs(ws, peak, tol, candidate):
@@ -95,12 +91,25 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     return elements
 
 
+def _usable(ws: np.ndarray, tol: ToleranceProfile, name: str) -> float:
+    """The largest |entry| of the trusted 1-D float64 array ``ws``, the
+    signal ``name``, once neither endpoint is within tolerance of zero."""
+    peak = float(np.abs(ws).max())
+    accept = tol._at(peak)
+    for end in (0, -1):
+        if abs(ws[end]) <= accept:
+            raise ValueError(
+                f"endpoint {name}({end % ws.size + 1}) = {ws[end]:.3e} is within {accept:.3e} "
+                "of zero (the border zero patterns are handled by shift_ambiguity instead)"
+            )
+    return peak
+
+
 def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndarray]]:
     """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
-    real root of a trusted 1-D float64 array with largest |entry| ``peak``,
-    in increasing root order.  The caller has checked both endpoints against
-    the tolerance.  ``_reconstructs`` decides which candidates are factor
-    pairs; mirrors are left to ``quotient_decompose``."""
+    real root of a trusted 1-D float64 array, in increasing root order, with
+    ``peak`` as ``_usable`` returned it.  ``_reconstructs`` decides which
+    candidates are factor pairs; mirrors are left to ``quotient_decompose``."""
     candidates = []
     kept = -math.inf
     for r in _real_roots(ws, peak):

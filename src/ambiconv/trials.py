@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import ATTACK_COLLINEARITY_BOUND, attack
+from .ambiguity import COLLINEARITY_MARGIN, attack
 from .core import DEFAULT_TOL, ToleranceProfile, _lift, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
@@ -173,7 +173,7 @@ def _attack_cases(n_trials: int, seed: int, tol: ToleranceProfile):
             scale = float(np.max(np.abs(np.convolve(x, y))))
             ok = (
                 pair.residual <= ATTACK_RESIDUAL_REL * scale
-                and pair.collinearity <= ATTACK_COLLINEARITY_BOUND
+                and pair.collinearity < 1.0 - COLLINEARITY_MARGIN
             )
             return ok, pair.residual, pair.collinearity
 

@@ -22,7 +22,7 @@ from ambiconv import (
 )
 from ambiconv.ambiguity import ATTACK_COLLINEARITY_BOUND, DEGENERACY_EPS
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
-from ambiconv.trials import sample_signal, trial_rng
+from ambiconv.trials import attack_suite, sample_signal, trial_rng
 from oracles import convolve_brute
 
 
@@ -33,15 +33,16 @@ def attack_suite_draw(seed, index):
     return sample_signal(rng, m), sample_signal(rng, n)
 
 
+def monic(roots):
+    """Ascending coefficients of the monic polynomial with these roots."""
+    return np.real(np.poly(roots))[::-1]
+
+
 def clustered_root_pair():
     """x with one real root (0.5) and -y with three (0.5005, 0.501, 0.502):
     every combination lies above the attack's collinearity bound, the first
     in search order (1 - 2.7e-8) closer to collinear than the last
     (1 - 4.3e-7)."""
-
-    def monic(roots):
-        return np.real(np.poly(roots))[::-1]
-
     x = monic([0.5, 0.3 + 0.8j, 0.3 - 0.8j])
     y = -monic([0.5005, 0.501, 0.502, -0.4 + 0.9j, -0.4 - 0.9j])
     return x, y
@@ -252,6 +253,34 @@ class TestAttack:
         assert pair.collinearity > ATTACK_COLLINEARITY_BOUND
         assert abs(pair.collinearity - least) <= 1e-15
         assert verify_pair(pair).certifies_unidentifiability
+
+    @pytest.mark.parametrize(
+        "seed, index", [(3, 1068), (4, 170), (6, 1063), (9, 27), (10, 970)]
+    )
+    def test_suite_row_success_is_verify_pair_rule(self, seed, index):
+        # The attack-suite draws that take the fallback: their certificates
+        # lie above the attack's search bound, and the campaign must still
+        # judge them by verify_pair's rule.
+        row = attack_suite(index + 1, seed).rows[index]
+        x, y = attack_suite_draw(seed, index)
+        pair = attack(x, y)
+        assert pair.collinearity > ATTACK_COLLINEARITY_BOUND
+        assert row.success == verify_pair(pair).certifies_unidentifiability
+
+    def test_degenerate_cos_phi_is_skipped(self):
+        # -y has the root 1e-7, so its angle phi has |cos(phi)| = 1e-7.  That
+        # factor has the smallest peak and sorts first; the attack skips it
+        # and returns the first non-degenerate combination.
+        x = monic([0.5, -0.3 + 0.8j, -0.3 - 0.8j])
+        y = -monic([1e-7, 2.0, -3.0, 1j, -1j])
+        first = min(quotient_decompose(-y), key=lambda e: float(np.max(np.abs(e.w_star))))
+        assert abs(math.cos(first.gamma)) <= DEGENERACY_EPS
+        pair = attack(x, y)
+        x_alt, y_alt, coll = next(valid_combinations(x, y))
+        sign = 1.0 if np.array_equal(pair.x_alt, x_alt) else -1.0
+        assert np.array_equal(pair.x_alt, sign * x_alt)
+        assert np.array_equal(pair.y_alt, sign * y_alt)
+        assert pair.collinearity == coll <= ATTACK_COLLINEARITY_BOUND
 
     @pytest.mark.parametrize("d", [32, 64, 128])
     def test_large_orders_certify(self, d):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ambiconv
 from ambiconv import trials
 from ambiconv.cli import main
 from ambiconv.core import matrix_to_json, signal_to_json
@@ -11,8 +15,9 @@ from ambiconv.quotient import RootFindingError
 
 DATA = Path(__file__).parent / "data"
 # Trial report layouts recorded from the CLI before the suites shared one
-# campaign driver.  Float residuals are left out: they can differ across
-# BLAS builds.
+# campaign driver; "attack --n 30 --seed 9" was recorded again once attack
+# rows were judged by verify_pair's collinearity margin (row 27 certifies).
+# Float residuals are left out: they can differ across BLAS builds.
 TRIALS_LAYOUT = json.loads((DATA / "trials_layout.json").read_text())
 
 
@@ -296,6 +301,33 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["attack", "--x", x, "--y", y])
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-input"
+
+    def test_attack_search_failure_exits_1(self, tmp_path, capsys):
+        # X(z) = -Y(z) = (1 + z)(1 + z^2): the one angle pair is degenerate.
+        x = write_signal(tmp_path / "x.json", [1.0, 1.0, 1.0, 1.0])
+        y = write_signal(tmp_path / "y.json", [-1.0, -1.0, -1.0, -1.0])
+        code, out, err = run(capsys, ["attack", "--x", x, "--y", y])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "attack-search-failed"
+
+    def test_root_finding_failure_exits_1(self, tmp_path, capsys):
+        # The companion row 1e300 / 1e-300 overflows.
+        w = write_signal(tmp_path / "w.json", [1e300, 1.0, 1e-300])
+        argv = ["decompose", "--input", w, "--tol-abs", "0", "--tol-rel", "0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "root-finding-failed"
+
+    def test_closed_output_pipe_exits_without_traceback(self):
+        path = [str(Path(ambiconv.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = [sys.executable, "-m", "ambiconv", "trials", "--suite", "attack", "--n", "20"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader leaves before the report is written
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err
 
     @pytest.mark.parametrize(
         "flags",

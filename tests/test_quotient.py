@@ -86,10 +86,25 @@ class TestDecompose:
         assert quotient_decompose(w) == []
 
     def test_rejects_near_zero_endpoints(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"endpoint w\(1\) .* shift_ambiguity"):
             quotient_decompose([0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"endpoint w\(4\)"):
             quotient_decompose([1.0, 2.0, 3.0, 1e-13])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_repeated_root_is_kept(self, k):
+        # w = (z - r)^k a(z).  A k-fold root splits into eigenvalues about
+        # eps^(1/k) |r| apart, at k = 2 often a complex pair; a factor pair
+        # near r must still be returned.  An odd multiplicity keeps one
+        # eigenvalue real.
+        rng = np.random.default_rng(k)
+        for _ in range(40):
+            r = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+            w = sample_signal(rng, 4)
+            for _ in range(k):
+                w = np.convolve(w, [-r, 1.0])
+            gammas = [e.gamma for e in quotient_decompose(w)]
+            assert any(abs(g - math.atan2(1.0, r)) <= 1e-4 for g in gammas), (r, gammas)
 
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
