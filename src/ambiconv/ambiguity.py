@@ -128,7 +128,8 @@ def rotational_family(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Angle-parameterized family of pairs sharing one convolution output.
 
-    Requires the seed condition ``convolve(x1, y1) == convolve(x2, y2)``.
+    Requires the seed condition ``convolve(x1, y1) == convolve(x2, y2)``,
+    with neither convolution overflowing float64.
     Returns ``(x1', y1', x2', y2')`` where
 
         x1' = x1 cos(theta) - x2 sin(theta),   y1' = y1 sin(phi) - y2 cos(phi),
@@ -141,9 +142,8 @@ def rotational_family(
     y1s, y2s = as_signal(y1), as_signal(y2)
     theta, phi = _finite_scalar(theta, "theta"), _finite_scalar(phi, "phi")
     tol = tol or DEFAULT_TOL
-    z1 = np.convolve(x1s, y1s)
-    z2 = np.convolve(x2s, y2s)
-    if float(np.max(np.abs(z1 - z2))) > tol.threshold(z1, z2):
+    z1, z2, residual = _outputs(x1s, y1s, x2s, y2s)
+    if residual > tol.threshold(z1, z2):
         raise ValueError("seed condition violated: convolve(x1, y1) != convolve(x2, y2)")
     if abs(math.sin(theta - phi)) <= DEGENERACY_EPS:
         warnings.warn(
@@ -167,7 +167,7 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
     For ``x = (u, 0)`` and ``y = (0, v)`` the shifted pair is ``x' = (0, u)``
     and ``y' = (v, 0)`` (and mirrored for ``x(1) = y(n) = 0``).  Both
     convolutions accumulate the identical products in the identical order,
-    so the residual is exactly zero.
+    so the residual is exactly zero; a convolution that overflows is refused.
     """
     xs, ys = as_signal(x), as_signal(y)
     if not xs.any() or not ys.any():
@@ -189,17 +189,25 @@ def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
     """The certificate pair ``(x_alt, y_alt)`` of trusted arrays ``(xs, ys)``,
     frozen, with its convolution residual and first-factor collinearity."""
     x_alt.flags.writeable = y_alt.flags.writeable = False
-    residual = float(np.abs(np.convolve(xs, ys) - np.convolve(x_alt, y_alt)).max())
+    _, _, residual = _outputs(xs, ys, x_alt, y_alt)
     return AmbiguousPair(xs, ys, x_alt, y_alt, residual, coll)
+
+
+def _outputs(x, y, x_alt, y_alt) -> tuple[np.ndarray, np.ndarray, float]:
+    """``x * y`` and ``x_alt * y_alt`` of trusted arrays and their largest
+    difference; a pair whose convolution overflows is refused."""
+    z, z_alt = np.convolve(x, y), np.convolve(x_alt, y_alt)
+    if not (np.isfinite(z).all() and np.isfinite(z_alt).all()):
+        raise ValueError("the convolution of the pair overflows float64: rescale the signals")
+    return z, z_alt, float(np.abs(z - z_alt).max())
 
 
 def bordered_y_form(v, angle: float) -> np.ndarray:
     """The column-bordered product of v against (sin(angle), -cos(angle)).
 
     Entrywise ``sin(angle) * (0, v) - cos(angle) * (v, 0)``, which equals
-    ``-reconstruct(v, angle)``.  The attack relies on this identity to reuse
-    the decomposition solver for the second signal; the test suite validates
-    it against the forward map.
+    ``-reconstruct(v, angle)``; the test suite validates it against the
+    forward map.
     """
     out = -_bordered(as_signal(v), _finite_scalar(angle, "angle"))
     out.flags.writeable = False
@@ -209,27 +217,28 @@ def bordered_y_form(v, angle: float) -> np.ndarray:
 def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     """Adversarial certificate pair for generic even-length inputs.
 
-    Decomposes ``x`` into bordered-rotation factors ``(u, theta)`` and ``-y``
-    into ``(v, phi)`` (so that ``y`` equals the column-bordered form of
-    ``v`` at angle ``phi``), then swaps the angles, one real linear factor
-    of ``X(z)`` for one of ``Y(z)``:
+    Decomposes ``x`` into bordered-rotation factors ``(u, theta)`` and ``y``
+    into ``(v, phi)``, ``x = u * (cos theta, -sin theta)`` and
+    ``y = v * (cos phi, -sin phi)``, then swaps the angles, one real linear
+    factor of ``X(z)`` for one of ``Y(z)``:
 
-        x' = reconstruct(u, phi),   y' = bordered_y_form(v, theta).
+        x' = reconstruct(u, phi),   y' = reconstruct(v, theta).
 
-    The difference of the lifted outer products is ``sin(phi - theta)``
-    times a bordered-product kernel element, so both pairs convolve to the
-    same output.  Candidates with ``|cos(phi)|`` or ``|sin(phi - theta)|``
-    at most ``DEGENERACY_EPS`` are skipped.  Enumeration is deterministic
-    (one element per real root, as mirrors only negate the certificate;
-    x outer, y inner, small factor magnitudes first) and the first
-    combination with collinearity at most ``ATTACK_COLLINEARITY_BOUND``, a
-    search preference only, wins; when every valid combination lies above
-    it (one real root in each signal, or clustered roots), the
-    least-collinear one is returned instead.  Certification is
-    ``verify_pair``'s rule either way.  Each factor is verified by
-    reconstruction, as in ``quotient_decompose``, when the search reaches
-    it: the result is the one the full decompositions would give, without
-    checking the factors after the winning combination.
+    The difference of the lifted outer products is ``sin(theta - phi)``
+    times the bordered-product kernel element ``n0_element(u, v)``, so both
+    pairs convolve to the same output.  Candidates with ``|cos(phi)|`` or
+    ``|sin(phi - theta)|`` at most ``DEGENERACY_EPS`` are skipped.
+    Enumeration is deterministic (one element per real root, as mirrors only
+    negate the certificate; x outer, y inner, small factor magnitudes first)
+    and the first combination with collinearity at most
+    ``ATTACK_COLLINEARITY_BOUND``, a search preference only, wins; when every
+    valid combination lies above it (one real root in each signal, or
+    clustered roots), the least-collinear one is returned instead.
+    Certification is ``verify_pair``'s rule either way.  Each factor is
+    verified by reconstruction, as in ``quotient_decompose``, when the search
+    reaches it: the result is the one the full decompositions would give,
+    without checking the factors after the winning combination.  A pair whose
+    convolution overflows is refused with ``ValueError``.
     """
     xs, ys = as_signal(x), as_signal(y)
     tol = tol or DEFAULT_TOL
@@ -242,48 +251,38 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
     # The sorts are stable, so checking each factor by reconstruction only
     # when the search reaches it keeps the order of sorting verified ones.
-    neg_y = -ys
-    x_roots = _candidates(xs, x_peak)
-    y_roots = _candidates(neg_y, y_peak)
-    x_roots.sort(key=lambda c: c[0])
-    y_roots.sort(key=lambda c: c[0])
+    x_roots = sorted(_candidates(xs, x_peak), key=lambda c: c[0])
+    y_roots = sorted(_candidates(ys, y_peak), key=lambda c: c[0])
 
     @functools.cache
     def y_holds(k: int) -> bool:
-        return _reconstructs(neg_y, y_peak, tol, y_roots[k])
+        return _reconstructs(ys, y_peak, tol, y_roots[k])
 
-    def combinations():
-        for xc in x_roots:
-            if _reconstructs(xs, x_peak, tol, xc):
-                for k, yc in enumerate(y_roots):
-                    if y_holds(k):
-                        yield xc, yc
-
+    # The first combination under the bound wins.  Two decompositions can
+    # share an angle by accident, so until then keep the least-collinear
+    # valid combination as a fallback.
     best = None
-    for (_, theta, u), (_, phi, v) in combinations():
-        if abs(math.cos(phi)) <= DEGENERACY_EPS:
-            continue
-        if abs(math.sin(phi - theta)) <= DEGENERACY_EPS:
-            continue
-        x_alt = _bordered(u, phi)
-        coll = _collinearity(xs, x_alt)
-        # The first combination under the bound wins.  Two decompositions
-        # can share an angle by accident, so until then keep the
-        # least-collinear valid combination as a fallback.
-        if best is None or coll < best[0]:
-            best = (coll, x_alt, v, theta)
-        if coll <= ATTACK_COLLINEARITY_BOUND:
-            break
+    for _, theta, u in (c for c in x_roots if _reconstructs(xs, x_peak, tol, c)):
+        for k, (_, phi, v) in enumerate(y_roots):
+            degenerate = min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS
+            if degenerate or not y_holds(k):
+                continue
+            x_alt = _bordered(u, phi)
+            coll = _collinearity(xs, x_alt)
+            if coll <= ATTACK_COLLINEARITY_BOUND:
+                return _pair(xs, ys, x_alt, _bordered(v, theta), coll)
+            if best is None or coll < best[0]:
+                best = (coll, x_alt, _bordered(v, theta))
     if best is None:
         x_count = sum(_reconstructs(xs, x_peak, tol, c) for c in x_roots)
         y_count = sum(map(y_holds, range(len(y_roots))))
         raise AttackSearchError(
             "no valid angle combination: "
-            f"{x_count} real roots of x, {y_count} of -y, "
+            f"{x_count} real roots of x, {y_count} of y, "
             f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
-    coll, x_alt, v, theta = best
-    return _pair(xs, ys, x_alt, -_bordered(v, theta), coll)
+    coll, x_alt, y_alt = best
+    return _pair(xs, ys, x_alt, y_alt, coll)
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:
@@ -292,15 +291,14 @@ def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> Pai
     Certification needs the residual within tolerance of the common output
     scale and the first factors non-collinear; pairs related by the scaling
     equivalence ``(a x, y / a)`` have collinearity one and never certify.
+    A pair whose convolution overflows is refused with ``ValueError``.
     """
     tol = tol or DEFAULT_TOL
     x, y = as_signal(pair.x), as_signal(pair.y)
     x_alt, y_alt = as_signal(pair.x_alt), as_signal(pair.y_alt)
     if x.size != x_alt.size or y.size != y_alt.size:
         raise ValueError("certificate pair dimensions do not match the original pair")
-    z = np.convolve(x, y)
-    z_alt = np.convolve(x_alt, y_alt)
-    residual = float(np.max(np.abs(z - z_alt)))
+    z, _, residual = _outputs(x, y, x_alt, y_alt)
     coll = _collinearity(x, x_alt)
     certifies = residual <= tol.threshold(z) and coll < 1.0 - COLLINEARITY_MARGIN
     return PairReport(

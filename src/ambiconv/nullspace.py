@@ -341,7 +341,8 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     residual ``u1 v1^T + u2 v2^T`` vanishes, ``n2`` when it is a nonzero
     element of the lower-dimensional kernel (classified the same way), and
     ``raw`` when both corner entries vanish (the exception set, which the
-    factorization does not cover).
+    factorization does not cover).  A matrix whose factorization overflows
+    float64 is refused with ``ValueError``.
     """
     ws = as_matrix(w)
     tol = tol or DEFAULT_TOL
@@ -350,11 +351,15 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
         raise ValueError("cannot classify the zero matrix")
     if not _in_rank2_nullspace(ws, tol._at(peak)):
         raise ValueError("matrix is not in the rank-two kernel at this tolerance")
-    cert = _classify_cert(ws, tol, peak)
-    if isinstance(cert, RawCertificate):
-        residual = 0.0
-    else:
-        residual = float(np.max(np.abs(ws - certificate_to_matrix(cert))))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cert = _classify_cert(ws, tol, peak)
+            if isinstance(cert, RawCertificate):
+                residual = 0.0
+            else:
+                residual = float(np.max(np.abs(ws - certificate_to_matrix(cert))))
+    except FloatingPointError:
+        raise ValueError("the corner factorization overflows float64: rescale the matrix") from None
     return ClassifiedElement(matrix=ws, certificate=cert, refactorization_residual=residual)
 
 

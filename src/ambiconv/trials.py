@@ -6,13 +6,13 @@ the two-row structural check.  Per-trial randomness derives from the pair
 (seed, trial index), so each trial, and so any failure row, is reproducible
 from (seed, index) alone.
 
-Each suite is a generator of cases, drawn outside the timed span, and one
-driver runs them all: it times each check, records a check that raises as a
-failed row whose failure carries the error, and builds the reproducer dump
-of failed rows only.  With ``--timing`` a row's ``wall_time_s`` covers
+Each suite draws its trials in order and hands each one, as it is drawn, to
+one recorder: it times the trial's check, records a check that raises as a
+failed row whose failure carries the error, and keeps the trial's reproducer
+dump for failed rows only.  With ``--timing`` a row's ``wall_time_s`` covers
 ``attack`` plus its acceptance test, ``quotient_decompose`` plus the
 round-trip, one constructor's lift and rank check, or ``kernel_basis`` plus
-its audit.
+its audit, never the draw.
 """
 
 from __future__ import annotations
@@ -133,34 +133,30 @@ def sample_signal(
     return vec
 
 
-def _campaign(suite: str, seed: int, cases) -> TrialReport:
-    """Run cases ``(index, dims, label, failure, check)``, each as it is drawn,
-    so its callables may read the generator's current locals.  ``check()``
+def _record(
+    report: TrialReport, index: int, dims: dict, check, dump: dict, label: str = ""
+) -> None:
+    """Add trial ``index`` to ``report``.  ``check()``, the only timed span,
     returns ``(ok, residual, collinearity)``; one that raises is a failed row.
-    ``failure()`` returns a failed row's dump, less its index and error."""
-    report, clock = TrialReport(suite=suite, seed=seed), time.perf_counter
-    for index, dims, label, failure, check in cases:
-        error = {}
-        start = clock()
-        try:
-            ok, residual, coll = check()
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            ok, residual, coll, error = False, float("inf"), None, {"error": str(exc)}
-        elapsed = clock() - start
-        if not ok:
-            report.failures.append({"index": index, **failure(), **error})
-        report.rows.append(TrialRow(index, dims, bool(ok), residual, coll, elapsed, label))
-    return report
+    A failed row adds ``dump``, which reruns it and which the check may extend,
+    plus any error, to the report's failures."""
+    start = time.perf_counter()
+    try:
+        ok, residual, coll = check()
+    except Exception as exc:  # noqa: BLE001 - failures are data here
+        ok, residual, coll, dump["error"] = False, float("inf"), None, str(exc)
+    elapsed = time.perf_counter() - start
+    if not ok:
+        report.failures.append({"index": index, **dump})
+    report.rows.append(TrialRow(index, dims, bool(ok), residual, coll, elapsed, label))
 
 
 def attack_suite(
     n_trials: int, seed: int, tol: ToleranceProfile | None = None
 ) -> TrialReport:
     """Adversarial pairs for random even dimensions in [4, 16]."""
-    return _campaign("attack", seed, _attack_cases(n_trials, seed, tol or DEFAULT_TOL))
-
-
-def _attack_cases(n_trials: int, seed: int, tol: ToleranceProfile):
+    tol = tol or DEFAULT_TOL
+    report = TrialReport(suite="attack", seed=seed)
     even = np.arange(4, 17, 2)
     for i in range(n_trials):
         rng = trial_rng(seed, i)
@@ -178,17 +174,16 @@ def _attack_cases(n_trials: int, seed: int, tol: ToleranceProfile):
             return ok, pair.residual, pair.collinearity
 
         # the row plus the raw inputs suffice to rerun a failure
-        yield i, {"m": m, "n": n}, "", lambda: {"x": x.tolist(), "y": y.tolist()}, check
+        _record(report, i, {"m": m, "n": n}, check, {"x": x.tolist(), "y": y.tolist()})
+    return report
 
 
 def quotient_suite(
     n_trials: int, seed: int, tol: ToleranceProfile | None = None
 ) -> TrialReport:
     """Random even-d draws plus forward-generated round-trip instances."""
-    return _campaign("quotient", seed, _quotient_cases(n_trials, seed, tol or DEFAULT_TOL))
-
-
-def _quotient_cases(n_trials: int, seed: int, tol: ToleranceProfile):
+    tol = tol or DEFAULT_TOL
+    report = TrialReport(suite="quotient", seed=seed)
     dims = (4, 6, 8, 10)
 
     def errors(w: np.ndarray) -> tuple[list[float], float]:
@@ -203,16 +198,16 @@ def _quotient_cases(n_trials: int, seed: int, tol: ToleranceProfile):
         w = rng.uniform(-1.0, 1.0, d)
         for end in (0, d - 1):
             w[end] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        seen = {}
+        dump = {"w": w.tolist()}
 
         def check():
             errs, scale = errors(w)
-            seen["count"] = len(errs)
+            dump["count"] = len(errs)
             worst = max(errs, default=float("inf"))
             ok = 0 < len(errs) <= 2 * d - 2 and worst <= QUOTIENT_RESIDUAL_REL * scale
             return ok, worst, None
 
-        yield i, {"d": d}, "", lambda: {"w": w.tolist(), **seen}, check
+        _record(report, i, {"d": d}, check, dump)
 
     for i in range(n_trials, n_trials + max(1, n_trials // 5)):
         rng = trial_rng(seed, i)
@@ -226,8 +221,9 @@ def _quotient_cases(n_trials: int, seed: int, tol: ToleranceProfile):
             best = min(errs, default=float("inf"))
             return best <= QUOTIENT_RESIDUAL_REL * scale, best, None
 
-        failure = lambda: {"w_star": w_star.tolist(), "gamma": float(gamma)}  # noqa: E731
-        yield i, {"d": d}, "forward", failure, check
+        dump = {"w_star": w_star.tolist(), "gamma": float(gamma)}
+        _record(report, i, {"d": d}, check, dump, "forward")
+    return report
 
 
 def nullspace_suite(
@@ -238,12 +234,8 @@ def nullspace_suite(
     tol: ToleranceProfile | None = None,
 ) -> TrialReport:
     """Constructor grid: every output must lift to ~0 and have rank <= 2."""
-    return _campaign(
-        "nullspace", seed, _nullspace_cases(mmax, nmax, draws, seed, tol or DEFAULT_TOL)
-    )
-
-
-def _nullspace_cases(mmax: int, nmax: int, draws: int, seed: int, tol: ToleranceProfile):
+    tol = tol or DEFAULT_TOL
+    report = TrialReport(suite="nullspace", seed=seed)
     grid = itertools.product(range(2, mmax + 1), range(2, nmax + 1), range(draws))
     for index, (m, n, k) in enumerate(grid):
         rng = trial_rng(seed, index)
@@ -263,37 +255,33 @@ def _nullspace_cases(mmax: int, nmax: int, draws: int, seed: int, tol: Tolerance
                 ok = residual <= CONSTRUCTOR_LIFT_REL * scale and _rank(q, tol._at(scale)) <= 2
                 return ok, residual, None
 
-            failure = lambda: {"constructor": label, "m": m, "n": n, "draw": k}  # noqa: E731
-            yield index, {"m": m, "n": n}, label, failure, check
+            dump = {"constructor": label, "m": m, "n": n, "draw": k}
+            _record(report, index, {"m": m, "n": n}, check, dump, label)
+    return report
 
 
 def kernel_suite(mmax: int = 10, nmax: int = 10) -> TrialReport:
     """Kernel dimension audit: mn - (m+n-1) basis elements, all in the kernel."""
-    return _campaign("kernel", 0, _kernel_cases(mmax, nmax))
-
-
-def _kernel_cases(mmax: int, nmax: int):
+    report = TrialReport(suite="kernel", seed=0)
     grid = itertools.product(range(1, mmax + 1), range(1, nmax + 1))
     for index, (m, n) in enumerate(grid):
-        seen = {}
+        dump = {"m": m, "n": n}
 
         def check():
             basis = kernel_basis(m, n)
-            seen["count"] = len(basis)
+            dump["count"] = len(basis)
             expected = 0 if (m == 1 or n == 1) else m * n - (m + n - 1)
             worst = max((float(np.max(np.abs(_lift(q)))) for q in basis), default=0.0)
             return len(basis) == expected and worst == 0.0, worst, None
 
-        yield index, {"m": m, "n": n}, "", lambda: {"m": m, "n": n, **seen}, check
+        _record(report, index, {"m": m, "n": n}, check, dump)
+    return report
 
 
 def structure_suite(nmax: int = 12) -> TrialReport:
     """Two-row structural check: basis elements of (2, n) satisfy
     Q(1,1) = Q(2,n) = 0 and Q(1, 2:n) = -Q(2, 1:n-1)."""
-    return _campaign("structure", 0, _structure_cases(nmax))
-
-
-def _structure_cases(nmax: int):
+    report = TrialReport(suite="structure", seed=0)
     for index, n in enumerate(range(2, nmax + 1)):
 
         def check():
@@ -304,7 +292,8 @@ def _structure_cases(nmax: int):
                 worst = max(worst, abs(q[0, 0]), abs(q[1, n - 1]), edge)
             return len(basis) == n - 1 and worst <= STRUCTURE_TOL, worst, None
 
-        yield index, {"m": 2, "n": n}, "", lambda: {"n": n}, check
+        _record(report, index, {"m": 2, "n": n}, check, {"n": n})
+    return report
 
 
 def run_suite(

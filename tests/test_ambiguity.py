@@ -39,7 +39,7 @@ def monic(roots):
 
 
 def clustered_root_pair():
-    """x with one real root (0.5) and -y with three (0.5005, 0.501, 0.502):
+    """x with one real root (0.5) and y with three (0.5005, 0.501, 0.502):
     every combination lies above the attack's collinearity bound, the first
     in search order (1 - 2.7e-8) closer to collinear than the last
     (1 - 4.3e-7)."""
@@ -57,12 +57,12 @@ def valid_combinations(x, y, tol=DEFAULT_TOL):
         return sorted(elements, key=lambda e: float(np.max(np.abs(e.w_star))))
 
     for xe in by_peak(quotient_decompose(x, tol)):
-        for ye in by_peak(quotient_decompose(-np.asarray(y), tol)):
+        for ye in by_peak(quotient_decompose(y, tol)):
             theta, phi = xe.gamma, ye.gamma
             if min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS:
                 continue
             x_alt = reconstruct(xe.w_star, phi)
-            yield x_alt, bordered_y_form(ye.w_star, theta), collinearity(x, x_alt)
+            yield x_alt, reconstruct(ye.w_star, theta), collinearity(x, x_alt)
 
 
 class TestRotationalFamily:
@@ -144,8 +144,8 @@ class TestShiftAmbiguity:
 
 class TestBorderedYFormIdentity:
     def test_identity_against_forward_map(self):
-        # The reduction the attack relies on: the column-bordered product of
-        # v at angle a equals the negated forward map.
+        # The column-bordered product of v at angle a equals the negated
+        # forward map.
         rng = np.random.default_rng(33)
         for _ in range(50):
             v = rng.uniform(-1, 1, rng.integers(1, 9))
@@ -268,12 +268,12 @@ class TestAttack:
         assert row.success == verify_pair(pair).certifies_unidentifiability
 
     def test_degenerate_cos_phi_is_skipped(self):
-        # -y has the root 1e-7, so its angle phi has |cos(phi)| = 1e-7.  That
+        # y has the root 1e-7, so its angle phi has |cos(phi)| = 1e-7.  That
         # factor has the smallest peak and sorts first; the attack skips it
         # and returns the first non-degenerate combination.
         x = monic([0.5, -0.3 + 0.8j, -0.3 - 0.8j])
         y = -monic([1e-7, 2.0, -3.0, 1j, -1j])
-        first = min(quotient_decompose(-y), key=lambda e: float(np.max(np.abs(e.w_star))))
+        first = min(quotient_decompose(y), key=lambda e: float(np.max(np.abs(e.w_star))))
         assert abs(math.cos(first.gamma)) <= DEGENERACY_EPS
         pair = attack(x, y)
         x_alt, y_alt, coll = next(valid_combinations(x, y))
@@ -292,7 +292,7 @@ class TestAttack:
     def test_no_valid_combination_is_attack_search_error(self):
         # X(z) = -Y(z) = (1 + z)(1 + z^2): one shared real root, so the only
         # angle pair has phi == theta and is degenerate.
-        with pytest.raises(AttackSearchError, match="1 real roots of x, 1 of -y"):
+        with pytest.raises(AttackSearchError, match="1 real roots of x, 1 of y"):
             attack([1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0])
 
     def test_rejects_odd_or_small_orders(self):
@@ -347,6 +347,24 @@ class TestVerifyPair:
         with pytest.raises(ValueError):
             verify_pair(pair)
 
+    def test_overflowing_pairs_are_refused(self):
+        # x*y reaches 1e400: every pair function refuses it by name instead
+        # of returning a NaN residual (RuntimeWarnings are errors in tests).
+        x = [1e200, 2e200, -1e200, 3e200]
+        y = [1e200, -2e200, 1e200, 2e200]
+        pair = AmbiguousPair(
+            x=np.array(x), y=np.array(y), x_alt=np.array(x), y_alt=np.array(y),
+            residual=0.0, collinearity=1.0,
+        )
+        with pytest.raises(ValueError, match="overflows"):
+            attack(x, y)
+        with pytest.raises(ValueError, match="overflows"):
+            shift_ambiguity([1e200, 2e200, 0.0], [0.0, 3e200, 4e200])
+        with pytest.raises(ValueError, match="overflows"):
+            verify_pair(pair)
+        with pytest.raises(ValueError, match="overflows"):
+            rotational_family(x, x, y, y, 0.3, 0.9)
+
     def test_json_round_trip(self):
         pair = shift_ambiguity([1.0, 0.0], [0.0, 2.0])
         back = AmbiguousPair.from_json(pair.to_json())
@@ -379,7 +397,7 @@ class TestCollinearity:
 
     def test_attack_difference_matches_scaled_bordered_product(self):
         # With the factors the attack picked, x y^T - x' y'^T must equal
-        # sin(phi - theta) times the bordered product of (u, v).
+        # sin(theta - phi) times the bordered product of (u, v).
         from ambiconv import quotient_decompose
 
         x = np.array([0.5, 1.0, -0.25, 0.75])
@@ -388,12 +406,12 @@ class TestCollinearity:
         used = [
             (xe, ye)
             for xe in quotient_decompose(x)
-            for ye in quotient_decompose(-y)
+            for ye in quotient_decompose(y)
             if np.allclose(reconstruct(xe.w_star, ye.gamma), pair.x_alt, atol=1e-9)
-            and np.allclose(bordered_y_form(ye.w_star, xe.gamma), pair.y_alt, atol=1e-9)
+            and np.allclose(reconstruct(ye.w_star, xe.gamma), pair.y_alt, atol=1e-9)
         ]
         assert used, "the attack's factor pair must come from the decompositions"
         xe, ye = used[0]
         diff = outer(pair.x, pair.y) - outer(pair.x_alt, pair.y_alt)
-        expected = math.sin(ye.gamma - xe.gamma) * n0_element(xe.w_star, ye.w_star)
+        expected = math.sin(xe.gamma - ye.gamma) * n0_element(xe.w_star, ye.w_star)
         assert np.allclose(diff, expected, atol=1e-9 * max(1.0, np.max(np.abs(diff))))

@@ -11,7 +11,7 @@ import ambiconv
 from ambiconv import trials
 from ambiconv.cli import main
 from ambiconv.core import matrix_to_json, signal_to_json
-from ambiconv.quotient import RootFindingError
+from ambiconv.quotient import QuotientElement, RootFindingError
 
 DATA = Path(__file__).parent / "data"
 # Trial report layouts recorded from the CLI before the suites shared one
@@ -272,6 +272,71 @@ class TestTrialsCommand:
         assert [f["index"] for f in report["failures"]] == list(range(12))
         assert all(f["error"] == message for f in report["failures"])
 
+    # The draws of "trials --suite quotient --n 1 --seed 5": one random row
+    # (d = 8) and one forward row (d = 4).  Both are plain rng draws.
+    QUOTIENT_RANDOM_W = [
+        1.998764172597607, 0.030651122084284, -0.4283972398237168, -0.8921385952366871,
+        -0.23326223842896354, -0.1830535891600027, -0.9094496121951097, -0.8517653025047359,
+    ]
+    QUOTIENT_FORWARD = {
+        "w_star": [-0.5795577095862174, 0.39176068868422975, 0.6330752916859435],
+        "gamma": 4.995278872418199,
+    }
+
+    def test_quotient_failure_dumps_are_pinned(self, monkeypatch, capsys):
+        decompose = trials.quotient_decompose
+
+        def shifted(w, tol=None):
+            return [QuotientElement(e.w_star, e.gamma + 1e-3) for e in decompose(w, tol)]
+
+        monkeypatch.setattr(trials, "quotient_decompose", shifted)
+        code, out, _ = run(capsys, ["trials", "--suite", "quotient", "--n", "1", "--seed", "5"])
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            {"index": 0, "w": self.QUOTIENT_RANDOM_W, "count": 2},
+            {"index": 1, **self.QUOTIENT_FORWARD},
+        ]
+
+    def test_raising_quotient_failure_dumps_are_pinned(self, monkeypatch, capsys):
+        def fails(w, tol=None):
+            raise RootFindingError("no convergence")
+
+        monkeypatch.setattr(trials, "quotient_decompose", fails)
+        code, out, _ = run(capsys, ["trials", "--suite", "quotient", "--n", "1", "--seed", "5"])
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            {"index": 0, "w": self.QUOTIENT_RANDOM_W, "error": "no convergence"},
+            {"index": 1, **self.QUOTIENT_FORWARD, "error": "no convergence"},
+        ]
+
+    def test_nullspace_failure_dumps_are_pinned(self, monkeypatch, capsys):
+        rank = trials._rank
+        monkeypatch.setattr(
+            trials, "_rank", lambda q, thresh: 3 if q.shape == (3, 3) else rank(q, thresh)
+        )
+        argv = "trials --suite nullspace --mmax 3 --nmax 3 --n 2 --seed 1"
+        code, out, _ = run(capsys, argv.split())
+        assert code == 1
+        report = json.loads(out)
+        assert report["trials"] == 18
+        assert report["failures"] == [
+            {"index": index, "constructor": label, "m": 3, "n": 3, "draw": draw}
+            for index, draw in ((6, 0), (7, 1))
+            for label in ("n0", "n2", "m2")
+        ]
+
+    def test_kernel_failure_dump_is_pinned(self, monkeypatch, capsys):
+        kernel_basis = trials.kernel_basis
+
+        def short(m, n):
+            basis = kernel_basis(m, n)
+            return basis[:-1] if (m, n) == (3, 4) else basis
+
+        monkeypatch.setattr(trials, "kernel_basis", short)
+        code, out, _ = run(capsys, ["trials", "--suite", "kernel", "--mmax", "4", "--nmax", "4"])
+        assert code == 1
+        assert json.loads(out)["failures"] == [{"index": 11, "m": 3, "n": 4, "count": 5}]
+
 
 class TestErrorPaths:
     def test_missing_file_is_usage_error(self, capsys):
@@ -301,6 +366,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["attack", "--x", x, "--y", y])
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-input"
+
+    def test_overflowing_pair_is_usage_error(self, tmp_path, capsys):
+        # x*y reaches 1e400; at the parent both commands printed a NaN residual.
+        x = write_signal(tmp_path / "x.json", [1e200, 2e200, -1e200, 3e200])
+        y = write_signal(tmp_path / "y.json", [1e200, -2e200, 1e200, 2e200])
+        sx, sy = (json.loads(Path(p).read_text()) for p in (x, y))
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"x": sx, "y": sy, "x_alt": sx, "y_alt": sy}))
+        for argv in (["attack", "--x", x, "--y", y], ["verify", "--pair", str(pair)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"]["code"] == "invalid-input"
 
     def test_attack_search_failure_exits_1(self, tmp_path, capsys):
         # X(z) = -Y(z) = (1 + z)(1 + z^2): the one angle pair is degenerate.

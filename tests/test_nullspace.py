@@ -349,6 +349,13 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(outer([1.0, 2.0], [3.0, 1.0]))
 
+    @pytest.mark.parametrize("m, n", [(8, 8), (8, 9), (9, 8)])
+    def test_overflowing_nested_residual_is_refused(self, m, n):
+        # The nested residuals grow past float64 two levels down: a refusal,
+        # not an n2 certificate with NaN entries (or a RuntimeWarning).
+        with pytest.raises(ValueError, match="overflows"):
+            classify(n2_generate(m, n, 0)[0] * 1e307)
+
     def test_two_row_elements_always_bordered_product(self):
         # both corners vanish yet the element is not raw for m = 2
         q = n0_element([2.0], [0.0, 1.0, 0.0])
