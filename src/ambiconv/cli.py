@@ -42,6 +42,7 @@ from .core import (
 )
 from .nullspace import (
     M2Certificate,
+    N2Certificate,
     certificate_to_json,
     classify,
     kernel_basis,
@@ -54,6 +55,9 @@ from .quotient import RootFindingError, quotient_decompose, reconstruct
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# json.dumps spends a frame per certificate level (fails near 990 levels).
+MAX_CERT_DEPTH = 800
 
 
 class InputError(Exception):
@@ -148,12 +152,18 @@ def _cmd_n0(args) -> int:
     return EXIT_OK
 
 
+def _cert_json(cert) -> dict:
+    depth, level = 0, cert
+    while isinstance(level, N2Certificate):
+        depth, level = depth + 1, level.inner
+    if depth > MAX_CERT_DEPTH:
+        raise ValueError(f"the certificate nests {depth} levels; JSON allows {MAX_CERT_DEPTH}")
+    return certificate_to_json(cert)
+
+
 def _cmd_n2(args) -> int:
     matrix, cert = n2_generate(args.m, args.n, seed=args.seed, tol=_tol(args))
-    _emit(
-        {"matrix": matrix_to_json(matrix), "certificate": certificate_to_json(cert)},
-        args,
-    )
+    _emit({"certificate": _cert_json(cert), "matrix": matrix_to_json(matrix)}, args)
     return EXIT_OK
 
 
@@ -195,7 +205,7 @@ def _cmd_classify(args) -> int:
     _emit(
         {
             "kind": result.certificate.kind,
-            "certificate": certificate_to_json(result.certificate),
+            "certificate": _cert_json(result.certificate),
             "refactorization_residual": result.refactorization_residual,
         },
         args,
@@ -265,7 +275,7 @@ def _cmd_trials(args) -> int:
     _emit(
         report.to_json(include_timing=args.timing),
         args,
-        csv_rows=report.to_csv_rows(),
+        csv_rows=report.to_csv_rows() if args.format == "csv" else (),
         csv_header=list(report.CSV_COLUMNS),
     )
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED

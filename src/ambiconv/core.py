@@ -5,7 +5,7 @@ of its anti-diagonal sums; on a rank-one matrix ``outer(x, y)`` it reproduces
 the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
-``np.convolve`` and one ``np.bincount`` over the anti-diagonal indices; the
+``np.convolve`` and one column sum over a skewed copy of the matrix; the
 rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).
 """
 
@@ -58,9 +58,9 @@ def as_signal(x) -> np.ndarray:
     arr = np.array(x, dtype=float, copy=True)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"signal must be 1-D with length >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("signal entries must be finite")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -77,9 +77,9 @@ def as_matrix(w) -> np.ndarray:
     arr = np.array(w, dtype=float, copy=True)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D with m, n >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -89,33 +89,55 @@ def convolve(x, y) -> np.ndarray:
     Bilinear and commutative; exact on integer-valued inputs (``np.convolve``).
     """
     out = np.convolve(as_signal(x), as_signal(y))
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
 def outer(x, y) -> np.ndarray:
     """Rank-one lift of a signal pair: W(k,l) = x(k) * y(l)."""
     w = np.outer(as_signal(x), as_signal(y))
-    w.flags.writeable = False
+    w.setflags(write=False)
     return w
 
 
 def lift_apply(w) -> np.ndarray:
     """Anti-diagonal sums of a matrix: z(j) = sum of W(k,l) over k+l = j+1.
 
-    Satisfies ``lift_apply(outer(x, y)) == convolve(x, y)``.
+    Satisfies ``lift_apply(outer(x, y)) == convolve(x, y)``; sums that
+    overflow float64 raise ``ValueError``.
     """
-    out = _lift(as_matrix(w))
-    out.flags.writeable = False
+    ws = as_matrix(w)
+    out = _checked_lift(ws, float(np.abs(ws).max()))
+    out.setflags(write=False)
     return out
 
 
 def _lift(w: np.ndarray) -> np.ndarray:
-    """``lift_apply`` on a trusted 2-D float64 array (one ``bincount`` over
-    k+l, accumulating each anti-diagonal in row-major order)."""
+    """``lift_apply`` on a trusted 2-D float64 array, in O(mn) memory and
+    with nothing cached per shape.  A zero-padded copy read back in rows one
+    entry shorter (a tall matrix: its columns, last first, one longer) puts
+    entry (k, l) in column k+l; the column sum adds each anti-diagonal with k
+    ascending, as a ``bincount`` over k+l does, signed zeros included."""
     m, n = w.shape
-    idx = (np.arange(m)[:, None] + np.arange(n)[None, :]).ravel()
-    return np.bincount(idx, weights=w.ravel(), minlength=m + n - 1)
+    if m <= n:
+        flat = np.zeros(m * (n + m))
+        flat.reshape(m, n + m)[:, :n] = w
+        return flat[: m * (n + m - 1)].reshape(m, n + m - 1).sum(axis=0)
+    flat = np.zeros(n * (n + m))
+    flat[: n * (n + m - 1)].reshape(n, n + m - 1)[:, n - 1 :] = w.T[::-1]
+    return flat.reshape(n, n + m).sum(axis=0)[:-1]
+
+
+def _checked_lift(w: np.ndarray, peak: float) -> np.ndarray:
+    """``_lift`` of a matrix with largest |entry| ``peak``; sums that overflow
+    float64 raise ``ValueError`` (watched only where 2 min(m, n) peaks could)."""
+    if peak * (2 * min(w.shape)) < math.inf:
+        return _lift(w)
+    try:
+        with np.errstate(over="raise"):
+            return _lift(w)
+    except FloatingPointError:
+        raise ValueError("the anti-diagonal sums overflow float64: rescale the matrix") from None
 
 
 @dataclass(frozen=True)
@@ -139,9 +161,7 @@ class LiftedConvOp:
             raise ValueError(
                 f"matrix shape {ws.shape} does not match operator ({self.m}, {self.n})"
             )
-        out = _lift(ws)
-        out.flags.writeable = False
-        return out
+        return lift_apply(ws)
 
     def basis(self) -> list[np.ndarray]:
         return hankel_basis(self.m, self.n)
@@ -161,7 +181,7 @@ def hankel_basis(m: int, n: int) -> list[np.ndarray]:
     basis = []
     for j in range(m + n - 1):
         s = (rows + cols == j).astype(float)
-        s.flags.writeable = False
+        s.setflags(write=False)
         basis.append(s)
     return basis
 
@@ -179,8 +199,8 @@ def antidiagonal_shift(wp) -> tuple[np.ndarray, np.ndarray]:
     w1[:mp, 1:] = ws
     w2 = np.zeros((mp + 1, np_ + 1))
     w2[1:, :np_] = ws
-    w1.flags.writeable = False
-    w2.flags.writeable = False
+    w1.setflags(write=False)
+    w2.setflags(write=False)
     return w1, w2
 
 

@@ -18,8 +18,9 @@ Three families are constructed explicitly:
 ``classify`` runs the converse factorization: a kernel element with a
 nonzero corner is ``E_TR(u1 v1^T) + E_BL(u2 v2^T)`` with the inner residual
 ``u1 v1^T + u2 v2^T`` in the kernel one dimension down, so reading both
-blocks off the matrix and recursing on the residual recovers a certificate
-of the generating family.
+blocks off the matrix level by level, in one flat loop, recovers a
+certificate of the generating family.  Both directions run at any order in
+O(mn) memory; only the CLI bounds the nesting it writes (``MAX_CERT_DEPTH``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _checked_lift,
     _finite_scalar,
     _lift,
     _rank,
@@ -104,14 +106,8 @@ def certificate_to_json(cert: NullspaceCertificate) -> dict:
     if isinstance(cert, N0Certificate):
         return {"kind": "n0", "u": list(map(float, cert.u)), "v": list(map(float, cert.v))}
     if isinstance(cert, N2Certificate):
-        return {
-            "kind": "n2",
-            "u1": list(map(float, cert.u1)),
-            "u2": list(map(float, cert.u2)),
-            "v1": list(map(float, cert.v1)),
-            "v2": list(map(float, cert.v2)),
-            "inner": certificate_to_json(cert.inner),
-        }
+        vectors = {f: list(map(float, getattr(cert, f))) for f in ("u1", "u2", "v1", "v2")}
+        return {"kind": "n2", **vectors, "inner": certificate_to_json(cert.inner)}
     if isinstance(cert, M2Certificate):
         return {"kind": "m2", "u": list(map(float, cert.u)), "lambda": float(cert.lam)}
     if isinstance(cert, RawCertificate):
@@ -126,13 +122,8 @@ def certificate_from_json(obj) -> NullspaceCertificate:
     if kind == "n0":
         return N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
     if kind == "n2":
-        return N2Certificate(
-            u1=as_signal(obj["u1"]),
-            u2=as_signal(obj["u2"]),
-            v1=as_signal(obj["v1"]),
-            v2=as_signal(obj["v2"]),
-            inner=certificate_from_json(obj["inner"]),
-        )
+        vectors = {f: as_signal(obj[f]) for f in ("u1", "u2", "v1", "v2")}
+        return N2Certificate(**vectors, inner=certificate_from_json(obj["inner"]))
     if kind == "m2":
         return M2Certificate(u=as_signal(obj["u"]), lam=float(obj["lambda"]))
     if kind == "raw":
@@ -146,7 +137,7 @@ def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:
     if isinstance(cert, N0Certificate):
         return n0_element(cert.u, cert.v)
     if isinstance(cert, N2Certificate):
-        return _corner_embed(np.outer(cert.u1, cert.v1), np.outer(cert.u2, cert.v2))
+        return _corner_embed(cert.u1[:, None] * cert.v1, cert.u2[:, None] * cert.v2)
     if isinstance(cert, M2Certificate):
         return m2_element(cert.u, cert.lam)
     raise ValueError("raw certificates have no parametric reconstruction")
@@ -161,9 +152,12 @@ def n0_element(u, v) -> np.ndarray:
     Out-of-range indices read as zero.  The matrix is the difference of the
     two corner embeddings of ``outer(u, v)``, so its anti-diagonal sums
     cancel pairwise (exactly for integer-valued inputs) and its rank is at
-    most two.
+    most two.  ``ValueError`` if twice the largest |u(k) v(l)| overflows.
     """
-    block = np.outer(as_signal(u), as_signal(v))
+    us, vs = as_signal(u), as_signal(v)
+    if max(map(abs, us.tolist())) * max(map(abs, vs.tolist())) * 2.0 == np.inf:
+        raise ValueError("the bordered product u v^T overflows float64: rescale u or v")
+    block = us[:, None] * vs
     return _corner_embed(block, -block)
 
 
@@ -171,11 +165,10 @@ def _corner_embed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Top-right embedding of ``a`` plus bottom-left embedding of ``b``."""
     if a.shape != b.shape:
         raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
-    mp, np_ = a.shape
-    y = np.zeros((mp + 1, np_ + 1))
-    y[:mp, 1:] = a
-    y[1:, :np_] += b
-    y.flags.writeable = False
+    y = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    y[:-1, 1:] = a
+    y[1:, :-1] += b
+    y.setflags(write=False)
     return y
 
 
@@ -204,22 +197,24 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark an array the package computed itself as immutable; return it."""
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
-def _transpose_certificate(cert: NullspaceCertificate) -> NullspaceCertificate:
-    # n0(u, v)^T = n0(v, -u); corner embeddings swap under transposition.
-    if isinstance(cert, N0Certificate):
-        return N0Certificate(u=cert.v, v=_readonly(-cert.u))
-    if isinstance(cert, N2Certificate):
-        return N2Certificate(
-            u1=cert.v2,
-            u2=cert.v1,
-            v1=cert.u2,
-            v2=cert.u1,
-            inner=_transpose_certificate(cert.inner),
-        )
+def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
+    """Nest ``levels`` (each ``(u1, u2, v1, v2, turns before it)``, top down)
+    over ``bottom`` (an n0's ``(u, v)`` after ``turns`` turns; ``None``: raw),
+    once, bottom up.  A turn T transposes all below it: T(N0(u, v)) =
+    N0(v, -u), and T(N2(u1, u2, v1, v2, inner)) = N2(v2, v1, u2, u1, T(inner))."""
+    cert: NullspaceCertificate = RawCertificate()
+    if bottom is not None:
+        u, v = bottom
+        for _ in range(turns % 4):
+            u, v = v, -u
+        cert = N0Certificate(u=_readonly(u), v=_readonly(v))
+    for u1, u2, v1, v2, before in reversed(levels):
+        fields = (v2, v1, u2, u1) if before % 2 else (u1, u2, v1, v2)
+        cert = N2Certificate(*map(_readonly, fields), inner=cert)
     return cert
 
 
@@ -233,11 +228,13 @@ def n2_generate(
     drawn from ``default_rng(seed)`` (the end coefficients of ``p`` and ``q``
     fixed to (1, 0) and (0, 1)), ``W = outer(p, b*q) - outer(q, b*p)`` lifts
     to zero and has rank at most two.  For ``m > n`` the ``(n, m)``
-    element is transposed.  Returns the matrix together with its nested
-    certificate, ``min(m, n) - 2`` levels deep with a bordered product at the
-    bottom; the matrix is rebuilt from the certificate, so the two agree bit
-    for bit.  The construction is exact, so ``tol`` does not affect
-    generation, and neither do the ``--tol-*`` flags of ``ambiconv n2``.
+    element is transposed, its certificate built in that form.  Returns the
+    matrix together with its nested certificate, ``min(m, n) - 2`` levels
+    deep with a bordered product at the bottom; the matrix is rebuilt from
+    the certificate, so the two agree bit for bit.  One flat loop makes the
+    levels, in O(mn) memory at any order (the CLI writes at most
+    ``cli.MAX_CERT_DEPTH``).  The construction is exact, so ``tol`` does not
+    affect generation, and neither do the ``--tol-*`` flags of ``ambiconv n2``.
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")
@@ -256,14 +253,10 @@ def n2_generate(
     while p.size > 1:
         c = q[-1] * p[0] - q[0] * p[-1]
         p, q = (q[0] * p - p[0] * q)[1:] / c, (q[-1] * p - p[-1] * q)[:-1]
-        levels.append(tuple(map(_readonly, (-q, np.convolve(b, p), p, np.convolve(b, q)))))
-    u1, v1, _, _ = levels.pop()
+        levels.append((-q, p, np.convolve(b, p), np.convolve(b, q), int(m > n)))
     # One-entry p' and q' make the inner residual p'q'(b - b) vanish.
-    cert: NullspaceCertificate = N0Certificate(u=u1, v=v1)
-    for u1, v1, u2, v2 in reversed(levels):
-        cert = N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=cert)
-    if m > n:
-        cert = _transpose_certificate(cert)
+    u1, _, v1, _, turns = levels.pop()
+    cert = _nest(levels, (u1, v1), turns)
     return certificate_to_matrix(cert), cert
 
 
@@ -286,7 +279,7 @@ def m2_element(u, lam: float) -> np.ndarray:
     x[1 : n - 1, 0] = us
     x[1 : n - 1, n - 1] = lam * us
     x[n - 1, 1 : n - 1] = -lam * us
-    x.flags.writeable = False
+    x.setflags(write=False)
     return x
 
 
@@ -312,20 +305,22 @@ def kernel_basis(m: int, n: int) -> list[np.ndarray]:
             q = np.zeros((m, n))
             q[cell] = 1.0
             q[pivot] = -1.0
-            q.flags.writeable = False
+            q.setflags(write=False)
             basis.append(q)
     return basis
 
 
 def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
-    """True iff rank <= 2 and the anti-diagonal sums vanish at tol scale."""
+    """True iff rank <= 2 and the anti-diagonal sums vanish at tol scale;
+    ``ValueError`` if the sums overflow float64."""
     ws = as_matrix(w)
-    return _in_rank2_nullspace(ws, (tol or DEFAULT_TOL)._at(float(np.abs(ws).max())))
+    return _in_rank2_nullspace(ws, float(np.abs(ws).max()), tol or DEFAULT_TOL)
 
 
-def _in_rank2_nullspace(w: np.ndarray, thresh: float) -> bool:
-    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array and its threshold."""
-    return _rank(w, thresh) <= 2 and float(np.max(np.abs(_lift(w)))) <= thresh
+def _in_rank2_nullspace(w: np.ndarray, peak: float, tol: ToleranceProfile) -> bool:
+    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array with largest |entry| ``peak``."""
+    thresh = tol._at(peak)
+    return _rank(w, thresh) <= 2 and float(np.abs(_checked_lift(w, peak)).max()) <= thresh
 
 
 # --- structural classifier ---------------------------------------------------
@@ -341,64 +336,59 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     residual ``u1 v1^T + u2 v2^T`` vanishes, ``n2`` when it is a nonzero
     element of the lower-dimensional kernel (classified the same way), and
     ``raw`` when both corner entries vanish (the exception set, which the
-    factorization does not cover).  A matrix whose factorization overflows
-    float64 is refused with ``ValueError``.
+    factorization does not cover).  One flat loop reads the levels and keeps
+    compact copies of their vectors: O(mn) memory at any order (the CLI
+    writes at most ``cli.MAX_CERT_DEPTH``).  A matrix whose factorization or
+    sums overflow float64 is refused with ``ValueError``.
     """
     ws = as_matrix(w)
     tol = tol or DEFAULT_TOL
     peak = float(np.abs(ws).max())
     if peak == 0.0:
         raise ValueError("cannot classify the zero matrix")
-    if not _in_rank2_nullspace(ws, tol._at(peak)):
+    if not _in_rank2_nullspace(ws, peak, tol):
         raise ValueError("matrix is not in the rank-two kernel at this tolerance")
     try:
         with np.errstate(over="raise", invalid="raise"):
             cert = _classify_cert(ws, tol, peak)
-            if isinstance(cert, RawCertificate):
-                residual = 0.0
-            else:
-                residual = float(np.max(np.abs(ws - certificate_to_matrix(cert))))
+            raw = isinstance(cert, RawCertificate)
+            residual = 0.0 if raw else float(np.abs(ws - certificate_to_matrix(cert)).max())
     except FloatingPointError:
         raise ValueError("the corner factorization overflows float64: rescale the matrix") from None
     return ClassifiedElement(matrix=ws, certificate=cert, refactorization_residual=residual)
 
 
 def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> NullspaceCertificate:
-    """The certificate of a trusted 2-D float64 array with largest |entry| ``peak``."""
-    m, n = w.shape
-    thresh = tol._at(peak)
-
-    # Two-row (two-column) elements always factor as bordered products:
-    # row 1 is (0, v) and row 2 is (-v, 0), regardless of corner entries.
-    if m == 2:
-        return N0Certificate(u=_readonly(np.ones(1)), v=_readonly(w[0, 1:]))
-    if n == 2:
-        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol, peak))
-
-    corner_bl = abs(w[m - 1, 0])
-    corner_tr = abs(w[0, n - 1])
-    if corner_bl <= thresh and corner_tr <= thresh:
-        return RawCertificate()
-    if corner_tr > corner_bl:
-        return _transpose_certificate(_classify_cert(np.ascontiguousarray(w.T), tol, peak))
-
-    # W = E_TR(u1 v1^T) + E_BL(u2 v2^T).  Only the bottom-left block reaches
-    # the first column and the last row, so it is read off directly.
-    u2 = w[1:, 0]
-    v2 = w[m - 1, : n - 1] / w[m - 1, 0]
-    # The top-right window minus the bottom-left block's overlap is u1 v1^T;
-    # factor it at its largest entry.
-    block = w[: m - 1, 1:].copy()
-    block[1:, :-1] -= np.outer(u2[:-1], v2[1:])
-    i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-    if abs(block[i, j]) <= thresh:
-        raise ValueError("top-right block vanishes: matrix is numerically rank one")
-    u1 = block[:, j]
-    v1 = block[i] / block[i, j]
-
-    inner = np.outer(u1, v1) + np.outer(u2, v2)
-    u1, u2, v1, v2 = map(_readonly, (u1, u2, v1, v2))
-    inner_peak = float(np.max(np.abs(inner)))
-    if inner_peak <= thresh:
-        return N0Certificate(u=u1, v=v1)
-    return N2Certificate(u1=u1, u2=u2, v1=v1, v2=v2, inner=_classify_cert(inner, tol, inner_peak))
+    """The certificate of a trusted 2-D float64 array with largest |entry|
+    ``peak``.  Each pass reads one level, or turns the matrix (a ``w.T``
+    view) to divide by the larger corner; ``_nest`` applies the turns."""
+    levels, turns, thresh = [], 0, tol._at(peak)
+    while True:
+        m, n = w.shape
+        # Any two-row element is the bordered product with rows (0, v), (-v, 0).
+        if m == 2:
+            return _nest(levels, (np.ones(1), w[0, 1:].copy()), turns)
+        if n == 2 or abs(w[0, n - 1]) > abs(w[m - 1, 0]):
+            w, turns = w.T, turns + 1
+            continue
+        if abs(w[m - 1, 0]) <= thresh:  # the larger corner, so both vanish
+            return _nest(levels, None, turns)
+        # W = E_TR(u1 v1^T) + E_BL(u2 v2^T).  Only the bottom-left block
+        # reaches the first column and the last row, so it is read off directly.
+        u2 = w[1:, 0].copy()
+        v2 = w[m - 1, : n - 1] / w[m - 1, 0]
+        # The top-right window minus the bottom-left block's overlap is
+        # u1 v1^T; factor it at its largest entry.
+        block = w[: m - 1, 1:].copy()
+        block[1:, :-1] -= u2[:-1, None] * v2[1:]
+        i, j = divmod(int(np.abs(block).argmax()), n - 1)
+        if abs(block[i, j]) <= thresh:
+            raise ValueError("top-right block vanishes: matrix is numerically rank one")
+        u1 = block[:, j].copy()
+        v1 = block[i] / block[i, j]
+        w = u1[:, None] * v1 + u2[:, None] * v2
+        peak = float(np.abs(w).max())
+        if peak <= thresh:
+            return _nest(levels, (u1, v1), turns)
+        levels.append((u1, u2, v1, v2, turns))
+        thresh = tol._at(peak)

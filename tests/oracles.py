@@ -2,7 +2,10 @@
 
 Everything here is deliberately written with plain Python loops (and exact
 Fraction arithmetic where rank is concerned) so that no code path is shared
-with the package implementations being tested.
+with the package implementations being tested.  The two exceptions are
+bit-for-bit references that import nothing from the package: the
+``bincount`` lift and the recursive corner-factorization classifier, which
+the package's skewed column sum and flat classifier must reproduce exactly.
 """
 
 from fractions import Fraction
@@ -74,3 +77,98 @@ def operator_matrix(m, n):
         for l in range(n):
             a[k + l, k * n + l] = 1.0
     return a
+
+
+def lift_bincount(w):
+    """Anti-diagonal sums as one ``bincount`` over k+l: the formulation whose
+    summation order (row-major, from +0.0) the package's lift reproduces."""
+    w = np.asarray(w, dtype=float)
+    m, n = w.shape
+    idx = (np.arange(m)[:, None] + np.arange(n)[None, :]).ravel()
+    return np.bincount(idx, weights=w.ravel(), minlength=m + n - 1)
+
+
+# --- reference corner-factorization classifier --------------------------------
+#
+# The recursive classifier the flat one replaced, kept verbatim in its
+# arithmetic so the two can be compared bit for bit.  Certificates are dicts
+# with the keys of the JSON wire format and numpy arrays as values.
+
+
+def transpose_certificate(cert):
+    """The certificate of the transposed matrix: n0(u, v)^T = n0(v, -u), and
+    an n2 level's corner blocks trade places."""
+    if cert["kind"] == "n0":
+        return {"kind": "n0", "u": cert["v"], "v": -cert["u"]}
+    if cert["kind"] == "n2":
+        return {
+            "kind": "n2",
+            "u1": cert["v2"],
+            "u2": cert["v1"],
+            "v1": cert["u2"],
+            "v2": cert["u1"],
+            "inner": transpose_certificate(cert["inner"]),
+        }
+    return cert
+
+
+def certificate_matrix(cert):
+    """Top-right embedding of the first block plus bottom-left of the second."""
+    if cert["kind"] == "n0":
+        a = np.outer(cert["u"], cert["v"])
+        b = -a
+    else:
+        a, b = np.outer(cert["u1"], cert["v1"]), np.outer(cert["u2"], cert["v2"])
+    y = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    y[:-1, 1:] = a
+    y[1:, :-1] += b
+    return y
+
+
+def classify_recursive(w, abs_tol=1e-12, rel_tol=1e-9):
+    """(certificate, refactorization residual) of a rank-two kernel element."""
+    w = np.array(w, dtype=float)
+    cert = _classify_level(w, abs_tol, rel_tol, float(np.max(np.abs(w))))
+    if cert["kind"] == "raw":
+        return cert, 0.0
+    return cert, float(np.max(np.abs(w - certificate_matrix(cert))))
+
+
+def _classify_level(w, abs_tol, rel_tol, peak):
+    m, n = w.shape
+    thresh = abs_tol + rel_tol * peak
+    if m == 2:
+        return {"kind": "n0", "u": np.ones(1), "v": w[0, 1:]}
+    if n == 2:
+        return transpose_certificate(
+            _classify_level(np.ascontiguousarray(w.T), abs_tol, rel_tol, peak)
+        )
+    corner_bl = abs(w[m - 1, 0])
+    corner_tr = abs(w[0, n - 1])
+    if corner_bl <= thresh and corner_tr <= thresh:
+        return {"kind": "raw"}
+    if corner_tr > corner_bl:
+        return transpose_certificate(
+            _classify_level(np.ascontiguousarray(w.T), abs_tol, rel_tol, peak)
+        )
+    u2 = w[1:, 0]
+    v2 = w[m - 1, : n - 1] / w[m - 1, 0]
+    block = w[: m - 1, 1:].copy()
+    block[1:, :-1] -= np.outer(u2[:-1], v2[1:])
+    i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+    if abs(block[i, j]) <= thresh:
+        raise ValueError("top-right block vanishes")
+    u1 = block[:, j]
+    v1 = block[i] / block[i, j]
+    inner = np.outer(u1, v1) + np.outer(u2, v2)
+    inner_peak = float(np.max(np.abs(inner)))
+    if inner_peak <= thresh:
+        return {"kind": "n0", "u": u1, "v": v1}
+    return {
+        "kind": "n2",
+        "u1": u1,
+        "u2": u2,
+        "v1": v1,
+        "v2": v2,
+        "inner": _classify_level(inner, abs_tol, rel_tol, inner_peak),
+    }

@@ -9,8 +9,9 @@ import pytest
 
 import ambiconv
 from ambiconv import trials
-from ambiconv.cli import main
+from ambiconv.cli import MAX_CERT_DEPTH, _cert_json, main
 from ambiconv.core import matrix_to_json, signal_to_json
+from ambiconv.nullspace import N0Certificate, N2Certificate
 from ambiconv.quotient import QuotientElement, RootFindingError
 
 DATA = Path(__file__).parent / "data"
@@ -190,6 +191,14 @@ class TestTrialsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "suite,index,m,n,d,label,success,residual,collinearity"
         assert len(lines) == 26
+
+    def test_json_report_builds_no_csv_rows(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("CSV rows built for a JSON report")
+
+        monkeypatch.setattr(trials.TrialReport, "to_csv_rows", refuse)
+        code, out, _ = run(capsys, ["trials", "--suite", "kernel", "--mmax", "4", "--nmax", "4"])
+        assert code == 0 and json.loads(out)["trials"] > 0
 
     def test_structure_suite(self, capsys):
         code, out, _ = run(capsys, ["trials", "--suite", "structure", "--nmax", "12"])
@@ -378,6 +387,34 @@ class TestErrorPaths:
             code, out, err = run(capsys, argv)
             assert (code, out) == (2, "")
             assert json.loads(err)["error"]["code"] == "invalid-input"
+
+    def test_overflowing_n0_and_lift_are_usage_errors(self, tmp_path, capsys):
+        u = write_signal(tmp_path / "u.json", [1e200, 1.0])
+        v = write_signal(tmp_path / "v.json", [1e200, 2.0])
+        w = write_matrix(tmp_path / "w.json", np.full((3, 3), 1e308))
+        for argv in (["n0", "--u", u, "--v", v], ["lift", "--matrix", w]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            error = json.loads(err)["error"]
+            assert error["code"] == "invalid-input" and "overflow" in error["message"]
+
+    def test_certificate_deeper_than_json_allows_is_refused(self, capsys):
+        # n2 at (1001, 1000) nests 998 levels, past what json.dumps can
+        # write: a structured refusal, never a RecursionError traceback.
+        code, out, err = run(capsys, ["n2", "--m", "1001", "--n", "1000"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-input" and "998 levels" in error["message"]
+
+    def test_certificate_at_the_depth_bound_is_written(self):
+        one = np.ones(1)
+        cert = N0Certificate(u=one, v=one)
+        for _ in range(MAX_CERT_DEPTH):
+            cert = N2Certificate(u1=one, u2=one, v1=one, v2=one, inner=cert)
+        text = json.dumps(_cert_json(cert), indent=2, sort_keys=True)
+        assert text.count('"n2"') == MAX_CERT_DEPTH
+        with pytest.raises(ValueError, match=f"{MAX_CERT_DEPTH + 1} levels"):
+            _cert_json(N2Certificate(u1=one, u2=one, v1=one, v2=one, inner=cert))
 
     def test_attack_search_failure_exits_1(self, tmp_path, capsys):
         # X(z) = -Y(z) = (1 + z)(1 + z^2): the one angle pair is degenerate.

@@ -26,9 +26,9 @@ from ambiconv import (
     signal_from_json,
     signal_to_json,
 )
-from ambiconv.core import DEFAULT_TOL, _rank
+from ambiconv.core import DEFAULT_TOL, _lift, _rank
 from ambiconv.nullspace import n0_element, n2_generate
-from oracles import antidiagonal_sums_brute, convolve_brute, rank_fraction
+from oracles import antidiagonal_sums_brute, convolve_brute, lift_bincount, rank_fraction
 
 X1 = [1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1]
 Y1 = [1, 0, 0, 0, 1, 0, 0]
@@ -166,6 +166,27 @@ class TestLiftApply:
             op.apply(np.zeros((2, 2)))
         w = np.arange(12.0).reshape(3, 4)
         assert np.array_equal(op.apply(w), lift_apply(w))
+
+    @pytest.mark.parametrize("m, n", [(1, 9), (9, 1), (136, 140), (140, 136), (1, 1)])
+    def test_lift_is_bincount_byte_for_byte(self, m, n):
+        # Same summation order and signed zeros as one bincount over k+l.
+        rng = np.random.default_rng([m, n])
+        w = rng.uniform(-1, 1, (m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+        cells = rng.random((m, n))
+        w[cells < 0.2] = -0.0
+        w[cells > 0.9] = 0.0
+        for case in (w, -np.zeros((m, n))):
+            assert _lift(case).tobytes() == lift_bincount(case).tobytes()
+
+    def test_overflowing_sums_are_refused(self):
+        # Finite input whose sums overflow: a refusal, never inf entries.
+        big = np.full((3, 3), 1e308)
+        for apply in (lift_apply, LiftedConvOp(3, 3).apply):
+            with pytest.raises(ValueError, match="overflows? float64: rescale"):
+                apply(big)
+        # Sums near the limit that do not overflow are still returned.
+        assert lift_apply([[1e308, -1e308]]).tolist() == [1e308, -1e308]
+        assert lift_apply(big / 10)[2] == 3e307
 
     def test_operator_rejects_bad_dims(self):
         with pytest.raises(ValueError):

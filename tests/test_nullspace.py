@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,8 +25,51 @@ from ambiconv import (
     outer,
     rank_estimate,
 )
-from ambiconv.nullspace import _transpose_certificate
-from oracles import antidiagonal_sums_brute, operator_matrix
+from oracles import (
+    antidiagonal_sums_brute,
+    classify_recursive,
+    operator_matrix,
+    transpose_certificate,
+)
+
+
+def reference_form(cert):
+    """A package certificate in the oracles' dict form (numpy array values)."""
+    out = top = {}
+    while isinstance(cert, N2Certificate):
+        out.update(kind="n2", u1=cert.u1, u2=cert.u2, v1=cert.v1, v2=cert.v2, inner={})
+        out, cert = out["inner"], cert.inner
+    if isinstance(cert, N0Certificate):
+        out.update(kind="n0", u=cert.u, v=cert.v)
+    else:
+        out.update(kind=cert.kind)
+    return top
+
+
+def assert_same_certificate(got, want):
+    """Equal kinds, and every vector equal byte for byte, level by level."""
+    while True:
+        assert got["kind"] == want["kind"]
+        for key in sorted(set(got) - {"kind", "inner"}):
+            assert got[key].shape == want[key].shape
+            assert got[key].tobytes() == want[key].tobytes(), key
+        if got["kind"] != "n2":
+            return
+        got, want = got["inner"], want["inner"]
+
+
+def certificate_depth(cert):
+    depth = 0
+    while isinstance(cert, N2Certificate):
+        cert, depth = cert.inner, depth + 1
+    return depth
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def random_n0(rng, m, n, corner_safe=False):
@@ -42,6 +87,12 @@ class TestN0Element:
         q = n0_element([1.0], [1.0])
         assert np.array_equal(q, [[0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(lift_apply(q), [0.0, 0.0, 0.0])
+
+    def test_overflowing_product_is_refused(self):
+        # Unrefused, this warned and returned inf entries.
+        with pytest.raises(ValueError, match="overflows float64: rescale"):
+            n0_element([1e200, 1.0], [1e200, 2.0])
+        assert n0_element([1e300], [2.0**20])[0, 1] == 1e300 * 2.0**20
 
     def test_zero_factor_gives_zero_matrix(self):
         assert not n0_element([0.0, 0.0], [1.0, 2.0, 3.0]).any()
@@ -198,8 +249,18 @@ class TestN2Generate:
             tall, tall_cert = n2_generate(m, n, seed)
             wide, wide_cert = n2_generate(n, m, seed)
             assert tall.tobytes() == np.ascontiguousarray(wide.T).tobytes()
-            transposed = _transpose_certificate(wide_cert)
-            assert certificate_to_json(tall_cert) == certificate_to_json(transposed)
+            transposed = transpose_certificate(reference_form(wide_cert))
+            assert_same_certificate(reference_form(tall_cert), transposed)
+
+    def test_any_order_without_recursion(self):
+        # The levels come from one loop: 60 spare frames build 998 levels.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            matrix, cert = n2_generate(1001, 1000, 0)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert matrix.shape == (1001, 1000) and certificate_depth(cert) == 998
 
 
 class TestM2Element:
@@ -343,6 +404,12 @@ class TestClassify:
                         depth += 1
         assert not failures
 
+    def test_overflowing_sums_are_refused(self):
+        # The middle anti-diagonal sums to 2e308: a refusal, not "not a member".
+        for func in (is_in_rank2_nullspace, classify):
+            with pytest.raises(ValueError, match="overflow float64: rescale"):
+                func(np.array([[0.0, 1e308, 1e308], [1e308, 1e308, 0.0]]))
+
     def test_rejects_zero_matrix_and_nonmembers(self):
         with pytest.raises(ValueError):
             classify(np.zeros((3, 3)))
@@ -355,6 +422,52 @@ class TestClassify:
         # not an n2 certificate with NaN entries (or a RuntimeWarning).
         with pytest.raises(ValueError, match="overflows"):
             classify(n2_generate(m, n, 0)[0] * 1e307)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_flat_classifier_matches_recursive_reference(self, seed):
+        # Bitwise-equal certificates and residuals to the recursive
+        # classifier it replaced, on every grid cell and both orientations.
+        rng = np.random.default_rng([seed, 13])
+        for m in range(2, 13):
+            for n in range(2, 13):
+                q_n0 = random_n0(rng, m, n)[0]
+                u = rng.uniform(-1, 1, m - 1)
+                u[0] = u[-1] = 0.0  # both corners vanish: raw for m > 3, n > 2
+                q_n2 = n2_generate(m, n, int(rng.integers(2**32)))[0]
+                elements = [q_n0, q_n0.T, q_n2, q_n2.T]
+                if m > 3 and n > 2:
+                    elements.append(n0_element(u, rng.uniform(-1, 1, n - 1)))
+                if m == n >= 3:
+                    elements.append(m2_element(rng.uniform(-1, 1, n - 2), 1.5))
+                for q in elements:
+                    result = classify(q)
+                    want, residual = classify_recursive(q)
+                    assert_same_certificate(reference_form(result.certificate), want)
+                    assert repr(result.refactorization_residual) == repr(residual)
+
+    def test_deep_element_classifies_without_recursion(self):
+        q = n2_generate(150, 151, 0)[0]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            result = classify(q)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert certificate_depth(result.certificate) == 148
+        assert result.refactorization_residual <= 1e-12 * np.max(np.abs(q))
+
+    @pytest.mark.parametrize("m, n", [(7, 9), (9, 7), (2, 6), (6, 2), (5, 5)])
+    def test_certificate_vectors_hold_no_matrix(self, m, n):
+        # A vector that views a level's matrix would keep all of it alive.
+        for q in (n2_generate(m, n, 3)[0], random_n0(np.random.default_rng(m), m, n)[0]):
+            cert = classify(q).certificate
+            while True:
+                for field in ("u1", "u2", "v1", "v2", "u", "v"):
+                    vec = getattr(cert, field, None)
+                    assert vec is None or vec.base is None or vec.base.ndim == 1
+                if not isinstance(cert, N2Certificate):
+                    break
+                cert = cert.inner
 
     def test_two_row_elements_always_bordered_product(self):
         # both corners vanish yet the element is not raw for m = 2
