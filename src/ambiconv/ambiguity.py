@@ -18,7 +18,6 @@ just the inherent scaling equivalence and never certify).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -110,11 +109,12 @@ def collinearity(a, b) -> float:
     return _collinearity(av, bv)
 
 
-def _collinearity(av: np.ndarray, bv: np.ndarray) -> float:
-    """``collinearity`` of trusted equal-length arrays.  Each is first scaled
-    by the power of two of its peak (exact in binary floating point), so the
-    dot products neither underflow nor overflow at any finite scale."""
-    peak_a, peak_b = float(np.abs(av).max()), float(np.abs(bv).max())
+def _collinearity(av: np.ndarray, bv: np.ndarray, peak_a: float | None = None) -> float:
+    """``collinearity`` of trusted equal-length arrays, ``peak_a`` being max|av|
+    if known.  Each is first scaled by the power of two of its peak (exact in
+    binary floating point), so no dot product under- or overflows."""
+    peak_a = float(np.abs(av).max()) if peak_a is None else peak_a
+    peak_b = float(np.abs(bv).max())
     if peak_a == 0.0 or peak_b == 0.0:
         return 0.0
     av = np.ldexp(av, -math.frexp(peak_a)[1])
@@ -142,8 +142,8 @@ def rotational_family(
     y1s, y2s = as_signal(y1), as_signal(y2)
     theta, phi = _finite_scalar(theta, "theta"), _finite_scalar(phi, "phi")
     tol = tol or DEFAULT_TOL
-    z1, z2, residual = _outputs(x1s, y1s, x2s, y2s)
-    if residual > tol.threshold(z1, z2):
+    residual, peak, peak_alt = _outputs(x1s, y1s, x2s, y2s)
+    if residual > tol._at(max(peak, peak_alt)):
         raise ValueError("seed condition violated: convolve(x1, y1) != convolve(x2, y2)")
     if abs(math.sin(theta - phi)) <= DEGENERACY_EPS:
         warnings.warn(
@@ -189,17 +189,24 @@ def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
     """The certificate pair ``(x_alt, y_alt)`` of trusted arrays ``(xs, ys)``,
     frozen, with its convolution residual and first-factor collinearity."""
     x_alt.flags.writeable = y_alt.flags.writeable = False
-    _, _, residual = _outputs(xs, ys, x_alt, y_alt)
+    residual = _outputs(xs, ys, x_alt, y_alt)[0]
     return AmbiguousPair(xs, ys, x_alt, y_alt, residual, coll)
 
 
-def _outputs(x, y, x_alt, y_alt) -> tuple[np.ndarray, np.ndarray, float]:
-    """``x * y`` and ``x_alt * y_alt`` of trusted arrays and their largest
-    difference; a pair whose convolution overflows is refused."""
+def _outputs(x, y, x_alt, y_alt) -> tuple[float, float, float]:
+    """The largest |difference| of ``z = x * y`` and ``z_alt = x_alt * y_alt``
+    (trusted arrays), then the largest |entry| of each.  A pair is refused if
+    z, z_alt or their difference overflows; the difference can overflow only
+    where the two peaks sum to inf (or NaN), so only there is it watched."""
     z, z_alt = np.convolve(x, y), np.convolve(x_alt, y_alt)
-    if not (np.isfinite(z).all() and np.isfinite(z_alt).all()):
-        raise ValueError("the convolution of the pair overflows float64: rescale the signals")
-    return z, z_alt, float(np.abs(z - z_alt).max())
+    peak, peak_alt = float(np.abs(z).max()), float(np.abs(z_alt).max())
+    if peak + peak_alt < math.inf:
+        return float(np.abs(z - z_alt).max()), peak, peak_alt
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.abs(z - z_alt).max())  # nonfinite if z or z_alt is
+    if residual < math.inf:
+        return residual, peak, peak_alt
+    raise ValueError("the convolution of the pair overflows float64: rescale the signals")
 
 
 def bordered_y_form(v, angle: float) -> np.ndarray:
@@ -253,10 +260,7 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # when the search reaches it keeps the order of sorting verified ones.
     x_roots = sorted(_candidates(xs, x_peak), key=lambda c: c[0])
     y_roots = sorted(_candidates(ys, y_peak), key=lambda c: c[0])
-
-    @functools.cache
-    def y_holds(k: int) -> bool:
-        return _reconstructs(ys, y_peak, tol, y_roots[k])
+    y_holds: list[bool | None] = [None] * len(y_roots)  # verdicts, once each
 
     # The first combination under the bound wins.  Two decompositions can
     # share an angle by accident, so until then keep the least-collinear
@@ -265,17 +269,19 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     for _, theta, u in (c for c in x_roots if _reconstructs(xs, x_peak, tol, c)):
         for k, (_, phi, v) in enumerate(y_roots):
             degenerate = min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS
-            if degenerate or not y_holds(k):
+            if not degenerate and y_holds[k] is None:
+                y_holds[k] = _reconstructs(ys, y_peak, tol, y_roots[k])
+            if degenerate or not y_holds[k]:
                 continue
             x_alt = _bordered(u, phi)
-            coll = _collinearity(xs, x_alt)
+            coll = _collinearity(xs, x_alt, x_peak)
             if coll <= ATTACK_COLLINEARITY_BOUND:
                 return _pair(xs, ys, x_alt, _bordered(v, theta), coll)
             if best is None or coll < best[0]:
                 best = (coll, x_alt, _bordered(v, theta))
     if best is None:
         x_count = sum(_reconstructs(xs, x_peak, tol, c) for c in x_roots)
-        y_count = sum(map(y_holds, range(len(y_roots))))
+        y_count = sum(_reconstructs(ys, y_peak, tol, c) for c in y_roots)
         raise AttackSearchError(
             "no valid angle combination: "
             f"{x_count} real roots of x, {y_count} of y, "
@@ -291,16 +297,17 @@ def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> Pai
     Certification needs the residual within tolerance of the common output
     scale and the first factors non-collinear; pairs related by the scaling
     equivalence ``(a x, y / a)`` have collinearity one and never certify.
-    A pair whose convolution overflows is refused with ``ValueError``.
+    A pair whose convolutions, or their difference, overflow is refused with
+    ``ValueError``.
     """
     tol = tol or DEFAULT_TOL
     x, y = as_signal(pair.x), as_signal(pair.y)
     x_alt, y_alt = as_signal(pair.x_alt), as_signal(pair.y_alt)
     if x.size != x_alt.size or y.size != y_alt.size:
         raise ValueError("certificate pair dimensions do not match the original pair")
-    z, _, residual = _outputs(x, y, x_alt, y_alt)
+    residual, peak, _ = _outputs(x, y, x_alt, y_alt)
     coll = _collinearity(x, x_alt)
-    certifies = residual <= tol.threshold(z) and coll < 1.0 - COLLINEARITY_MARGIN
+    certifies = residual <= tol._at(peak) and coll < 1.0 - COLLINEARITY_MARGIN
     return PairReport(
         residual=residual, collinearity=coll, certifies_unidentifiability=certifies
     )

@@ -211,13 +211,20 @@ def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
     tol-scaled threshold; exact on modest integer-valued matrices.
     """
     ws = as_matrix(w)
-    return _rank(ws, (tol or DEFAULT_TOL)._at(float(np.abs(ws).max())))
+    peak = float(np.abs(ws).max())
+    return _rank(ws, (tol or DEFAULT_TOL)._at(peak), peak)
 
 
-def _rank(w: np.ndarray, thresh: float) -> int:
-    """``rank_estimate`` on a trusted 2-D float64 array and its threshold."""
-    if not w.any():
+def _rank(w: np.ndarray, thresh: float, peak: float) -> int:
+    """``rank_estimate`` of a trusted 2-D float64 array, given its threshold
+    and largest |entry|.  Where 2 sqrt(m) peaks, the bound on a Householder
+    divisor, overflow, both are first scaled by the power of two of the peak
+    (exact above the subnormal range, far below any ``rel_tol > 0`` threshold)."""
+    if peak == 0.0:
         return 0
+    if not peak * (2.0 * math.sqrt(w.shape[0])) < math.inf:
+        e = math.frexp(peak)[1]
+        w, thresh = np.ldexp(w, -e), math.ldexp(thresh, -e)
     r = dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
     return int(np.count_nonzero(np.abs(r.diagonal()) > thresh))
 

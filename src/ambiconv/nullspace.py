@@ -35,7 +35,6 @@ from .core import (
     ToleranceProfile,
     _checked_lift,
     _finite_scalar,
-    _lift,
     _rank,
     as_matrix,
     as_signal,
@@ -177,22 +176,28 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
 
     Requires the inner residual ``u1 v1^T + u2 v2^T`` to lie in the kernel
     one dimension down (checked against the anti-diagonal sums within
-    ``rel_tol`` of its scale).
+    ``rel_tol`` of its scale).  ``ValueError`` if the largest |u1(k) v1(l)|
+    plus the largest |u2(k) v2(l)| overflows, or the sums do.
     """
     tol = tol or DEFAULT_TOL
     u1s, u2s = as_signal(u1), as_signal(u2)
     v1s, v2s = as_signal(v1), as_signal(v2)
     if u1s.size != u2s.size or v1s.size != v2s.size:
         raise ValueError("factor lengths must agree pairwise")
-    inner = np.outer(u1s, v1s) + np.outer(u2s, v2s)
-    image = _lift(inner)
-    bound = tol.rel_tol * float(np.max(np.abs(inner))) if inner.any() else 0.0
+    pu1, pu2, pv1, pv2 = (max(map(abs, s.tolist())) for s in (u1s, u2s, v1s, v2s))
+    if pu1 * pv1 + pu2 * pv2 == np.inf:
+        raise ValueError("the corner products u1 v1^T, u2 v2^T overflow float64: rescale them")
+    a, b = u1s[:, None] * v1s, u2s[:, None] * v2s
+    inner = a + b
+    peak = float(np.abs(inner).max())
+    image = _checked_lift(inner, peak)
+    bound = tol.rel_tol * peak
     if np.max(np.abs(image)) > bound:
         raise ValueError(
             "inner residual u1 v1^T + u2 v2^T is not in the lower-dimensional "
             f"kernel (|image| = {np.max(np.abs(image)):.3e} > {bound:.3e})"
         )
-    return _corner_embed(np.outer(u1s, v1s), np.outer(u2s, v2s))
+    return _corner_embed(a, b)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -320,7 +325,7 @@ def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
 def _in_rank2_nullspace(w: np.ndarray, peak: float, tol: ToleranceProfile) -> bool:
     """``is_in_rank2_nullspace`` on a trusted 2-D float64 array with largest |entry| ``peak``."""
     thresh = tol._at(peak)
-    return _rank(w, thresh) <= 2 and float(np.abs(_checked_lift(w, peak)).max()) <= thresh
+    return float(np.abs(_checked_lift(w, peak)).max()) <= thresh and _rank(w, thresh, peak) <= 2
 
 
 # --- structural classifier ---------------------------------------------------

@@ -109,9 +109,11 @@ def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndar
     """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
     real root of a trusted 1-D float64 array, in increasing root order, with
     ``peak`` as ``_usable`` returned it.  ``_reconstructs`` decides which
-    candidates are factor pairs; mirrors are left to ``quotient_decompose``."""
+    candidates are factor pairs; mirrors are left to ``quotient_decompose``.
+    Quotients are divided and measured as lists of Python floats."""
     candidates = []
     kept = -math.inf
+    w = ws.tolist()
     for r in _real_roots(ws, peak):
         if r - kept <= _ROOT_MERGE * (1.0 + abs(r)):
             continue  # near-duplicate of the last kept root
@@ -121,12 +123,14 @@ def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndar
         # Divide from the end where the recurrence contracts: an error grows
         # by |b/a| = 1/|r| per step from the low end and by |r| from the high.
         if abs(r) > 1.0:
-            w_star = _divide_low(ws, a, b)
+            q = _divide_low(w, a, b)
         else:
-            w_star = _divide_low(ws[::-1], b, a)[::-1]
-        w_peak = float(np.abs(w_star).max())
-        if w_peak < math.inf:  # false for inf and NaN alike
-            candidates.append((w_peak, gamma, w_star))
+            q = _divide_low(w[::-1], b, a)[::-1]
+        # With finite w, a and b the recurrence meets inf before any NaN, so
+        # the peak is inf or NaN, and fails this test, for every nonfinite q.
+        w_peak = max(map(abs, q))
+        if w_peak < math.inf:
+            candidates.append((w_peak, gamma, np.array(q)))
     return candidates
 
 
@@ -154,7 +158,8 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
             "companion eigenvalue solver failed: Array must not contain infs or NaNs"
         )
     n = ws.size - 1
-    comp = np.eye(n, k=-1, order="F")
+    comp = np.zeros((n, n), order="F")
+    comp.reshape(-1, order="F")[1 :: n + 1] = 1.0  # the subdiagonal
     comp[0] = -ws[-2::-1] / ws[-1]
     wr, wi, _, _, info = dgeev(
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
@@ -175,9 +180,9 @@ def _workspace(n: int) -> int:
     return int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
 
-def _divide_low(ws: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The quotient q of ws = conv(q, (a, b)), solved from the low end."""
+def _divide_low(w: list[float], a: float, b: float) -> list[float]:
+    """The quotient q of w = conv(q, (a, b)) as a list, solved from the low end."""
     q = [0.0]
-    for wj in ws[:-1].tolist():
+    for wj in w[:-1]:
         q.append((wj - b * q[-1]) / a)
-    return np.array(q[1:])
+    return q[1:]

@@ -2,15 +2,18 @@
 
 Everything here is deliberately written with plain Python loops (and exact
 Fraction arithmetic where rank is concerned) so that no code path is shared
-with the package implementations being tested.  The two exceptions are
+with the package implementations being tested.  The three exceptions are
 bit-for-bit references that import nothing from the package: the
-``bincount`` lift and the recursive corner-factorization classifier, which
-the package's skewed column sum and flat classifier must reproduce exactly.
+``bincount`` lift, the recursive corner-factorization classifier and the
+array-based quotient candidate builder, which the package's skewed column
+sum, flat classifier and list-based candidate builder must reproduce exactly.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.lapack import dgeev, dgeev_lwork
 
 
 def convolve_brute(x, y):
@@ -172,3 +175,48 @@ def _classify_level(w, abs_tol, rel_tol, peak):
         "v2": v2,
         "inner": _classify_level(inner, abs_tol, rel_tol, inner_peak),
     }
+
+
+# --- reference quotient candidate builder --------------------------------------
+#
+# The array-based builder the list-based one replaced: an ``np.eye``
+# companion, ``dgeev`` with LAPACK's optimal workspace, synthetic division of
+# numpy arrays and ``np.abs(w_star).max()`` as each quotient's peak.
+
+
+def quotient_candidates(ws):
+    """``(max|w_star|, gamma, w_star)`` per distinct real root of ``ws``,
+    in increasing root order, for every root whose quotient is finite; the
+    real band is 1e-6 and roots closer than 1e-8 (relative) are merged."""
+    ws = np.asarray(ws, dtype=float)
+    n = ws.size - 1
+    comp = np.eye(n, k=-1, order="F")
+    comp[0] = -ws[-2::-1] / ws[-1]
+    lwork = int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
+    wr, wi, _, _, info = dgeev(comp, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=1)
+    assert info == 0
+    real = zip(wr.tolist(), wi.tolist())
+    roots = sorted(r for r, i in real if abs(i) <= 1e-6 * (1.0 + abs(r)))
+    candidates = []
+    kept = -math.inf
+    for r in roots:
+        if r - kept <= 1e-8 * (1.0 + abs(r)):
+            continue
+        kept = r
+        gamma = math.atan2(1.0, r)
+        a, b = math.cos(gamma), -math.sin(gamma)
+        if abs(r) > 1.0:
+            w_star = _divide_low_array(ws, a, b)
+        else:
+            w_star = _divide_low_array(ws[::-1], b, a)[::-1]
+        w_peak = float(np.abs(w_star).max())
+        if w_peak < math.inf:
+            candidates.append((w_peak, gamma, w_star))
+    return candidates
+
+
+def _divide_low_array(ws, a, b):
+    q = [0.0]
+    for wj in ws[:-1].tolist():
+        q.append((wj - b * q[-1]) / a)
+    return np.array(q[1:])

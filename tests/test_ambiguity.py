@@ -365,6 +365,23 @@ class TestVerifyPair:
         with pytest.raises(ValueError, match="overflows"):
             rotational_family(x, x, y, y, 0.3, 0.9)
 
+    def test_overflowing_output_difference_is_refused(self):
+        # Both outputs peak at 1.69e308 with opposite signs, so their
+        # difference overflows: refused, without an overflow warning.
+        big = np.array([1.3e154, 1.0])
+        pair = AmbiguousPair(
+            x=big, y=big, x_alt=big * [-1.0, 1.0], y_alt=big, residual=0.0, collinearity=0.0
+        )
+        with pytest.raises(ValueError, match="overflows float64: rescale the signals"):
+            verify_pair(pair)
+        # Where the peaks sum to inf but the difference stays finite, it is
+        # still measured.
+        x_alt = big * [1.0, 0.5]
+        near = AmbiguousPair(x=big, y=big, x_alt=x_alt, y_alt=big, residual=0.0, collinearity=0.0)
+        report = verify_pair(near)
+        assert report.residual == np.abs(np.convolve(big, big) - np.convolve(x_alt, big)).max()
+        assert not report.certifies_unidentifiability
+
     def test_json_round_trip(self):
         pair = shift_ambiguity([1.0, 0.0], [0.0, 2.0])
         back = AmbiguousPair.from_json(pair.to_json())

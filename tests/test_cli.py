@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ambiconv
-from ambiconv import trials
+from ambiconv import AmbiguousPair, trials
 from ambiconv.cli import MAX_CERT_DEPTH, _cert_json, main
 from ambiconv.core import matrix_to_json, signal_to_json
 from ambiconv.nullspace import N0Certificate, N2Certificate
@@ -173,6 +173,15 @@ class TestTrialsCommand:
         assert report["success_rate"] == 1.0
         assert "wall_time_s" not in json.dumps(report)
 
+    def test_attack_suite_deterministic_bytes(self, tmp_path):
+        args = ["trials", "--suite", "attack", "--n", "200", "--seed", "3"]
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["success_rate"] == 1.0
+
     def test_attack_suite_small(self, capsys):
         code, out, _ = run(
             capsys, ["trials", "--suite", "attack", "--n", "25", "--seed", "42"]
@@ -321,7 +330,7 @@ class TestTrialsCommand:
     def test_nullspace_failure_dumps_are_pinned(self, monkeypatch, capsys):
         rank = trials._rank
         monkeypatch.setattr(
-            trials, "_rank", lambda q, thresh: 3 if q.shape == (3, 3) else rank(q, thresh)
+            trials, "_rank", lambda q, *rest: 3 if q.shape == (3, 3) else rank(q, *rest)
         )
         argv = "trials --suite nullspace --mmax 3 --nmax 3 --n 2 --seed 1"
         code, out, _ = run(capsys, argv.split())
@@ -397,6 +406,16 @@ class TestErrorPaths:
             assert (code, out) == (2, "")
             error = json.loads(err)["error"]
             assert error["code"] == "invalid-input" and "overflow" in error["message"]
+
+    def test_overflowing_output_difference_is_usage_error(self, tmp_path, capsys):
+        big = np.array([1.3e154, 1.0])
+        pair = AmbiguousPair(big, big, big * [-1.0, 1.0], big, 0.0, 0.0)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair.to_json()))
+        code, out, err = run(capsys, ["verify", "--pair", str(path)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-input" and "overflows float64" in error["message"]
 
     def test_certificate_deeper_than_json_allows_is_refused(self, capsys):
         # n2 at (1001, 1000) nests 998 levels, past what json.dumps can

@@ -282,13 +282,23 @@ class TestOuterAndRank:
         for w in mats:
             pivots = np.abs(np.diag(scipy.linalg.qr(w, mode="r", pivoting=True)[0]))
             expected = int(np.count_nonzero(pivots > DEFAULT_TOL.threshold(w)))
-            assert _rank(w, DEFAULT_TOL.threshold(w)) == rank_estimate(w) == expected
+            peak = float(np.abs(w).max())
+            assert _rank(w, DEFAULT_TOL.threshold(w), peak) == rank_estimate(w) == expected
             # The count at a reference pivot and one ulp below it matches only
             # if that pivot magnitude agrees bit for bit; sample 8 of them.
             if w.any():
                 for p in pivots[:: max(1, pivots.size // 8)]:
                     for t in (p, np.nextafter(p, -np.inf)):
-                        assert _rank(w, t) == np.count_nonzero(pivots > t)
+                        assert _rank(w, t, peak) == np.count_nonzero(pivots > t)
+
+    def test_rank_near_float64_limit(self):
+        # Unscaled, dgeqp3's Householder steps overflow here and every
+        # pivot counted: full((3, 3), 1e308) read as rank 3.
+        for shape in [(2, 2), (3, 3), (10, 11), (11, 10)]:
+            w = np.full(shape, 1e308)
+            assert rank_estimate(w) == 1
+            w[0, 0] = -1.7e308
+            assert rank_estimate(w) == 2
 
 
 class TestJson:

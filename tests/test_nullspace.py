@@ -171,6 +171,13 @@ class TestN2Lift:
             assert np.max(np.abs(antidiagonal_sums_brute(y))) <= 1e-12 * scale
             assert rank_estimate(y) <= 2
 
+    def test_overflowing_corner_products_are_refused(self):
+        # Unrefused, this warned and returned a matrix with inf and -inf.
+        with pytest.raises(ValueError, match="overflow float64: rescale"):
+            n2_lift([1e200], [1e200], [1e200, 1.0], [-1e200, 1.0])
+        y = n2_lift([1e150], [-1e150], [1e150, 1.0], [1e150, 1.0])
+        assert np.array_equal(y, n0_element([1e150], [1e150, 1.0]))
+
     def test_rejects_inner_outside_kernel(self):
         with pytest.raises(ValueError):
             n2_lift([1.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
@@ -342,6 +349,17 @@ class TestMembership:
         q = sum(random_n0(rng, 6, 6)[0] for _ in range(3))
         if rank_estimate(q) > 2:
             assert not is_in_rank2_nullspace(q)
+
+    def test_element_near_float64_limit_is_member(self):
+        # A 9x4 bordered product peaking at 1e308: its rank was read as 4
+        # when dgeqp3 overflowed, so it was reported outside the kernel.
+        q = n0_element(np.full(8, 1e154), np.array([1.0, -1.0, 0.7]) * 5e153)
+        assert np.abs(q).max() == 1e308
+        assert rank_estimate(q) == 2
+        assert is_in_rank2_nullspace(q)
+        # Of rank one, but its sums overflow: refused before the rank is read.
+        with pytest.raises(ValueError, match="overflow float64: rescale"):
+            is_in_rank2_nullspace(np.full((3, 3), 1e308))
 
 
 class TestClassify:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ambiconv import ToleranceProfile, quotient_decompose, reconstruct
+from ambiconv.core import as_signal
+from ambiconv.quotient import _candidates
 from ambiconv.trials import sample_signal
-from oracles import convolve_brute
+from oracles import convolve_brute, quotient_candidates
 
 
 def residual(w, element):
@@ -201,3 +203,43 @@ class TestDecompose:
                 got = [e.gamma for e in quotient_decompose(w, tol)[::2]]
                 assert len(got) == len(want), (d, got, want)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (d, got, want)
+
+
+def candidate_bytes(candidates):
+    """Each candidate's peak and angle as float hex, its quotient as bytes."""
+    return [(p.hex(), g.hex(), w.dtype.str, w.tobytes()) for p, g, w in candidates]
+
+
+class TestCandidates:
+    # The list-based builder must reproduce the array-based reference in
+    # tests/oracles.py byte for byte: every peak, angle and quotient entry.
+    def check(self, w):
+        ws = as_signal(w)
+        got = _candidates(ws, float(np.abs(ws).max()))
+        assert candidate_bytes(got) == candidate_bytes(quotient_candidates(ws))
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_array_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(2, 65):
+            for scale in (1e-150, 1.0, 1e150):
+                self.check(sample_signal(rng, d) * scale)
+
+    def test_roots_on_both_sides_of_the_unit_circle(self):
+        # Each side divides from its own end: |r| > 1 from the low end,
+        # |r| <= 1 from the high end (the reversed list).
+        roots = [-7.0, -1.5, -1.0, -0.6, 0.25, 0.9, 1.0, 2.5, 40.0]
+        w = np.poly(roots)[::-1]
+        got = self.check(w)
+        want = [math.atan2(1.0, r) for r in roots]
+        assert np.allclose([g for _, g, _ in got], want, rtol=1e-9, atol=0.0)
+
+    def test_overflowing_quotient_is_excluded(self):
+        # W(z) = k (z - 1)(z - 10) with 11 k near float64's limit: dividing
+        # out the root 1 gives a quotient of peak 14.1 k, which overflows,
+        # while the root 10 gives 10.05 k.  Both builders drop the first.
+        k = 1.5e308 / 11.0
+        got = self.check([10.0 * k, -11.0 * k, k])
+        assert [g for _, g, _ in got] == pytest.approx([math.atan2(1.0, 10.0)], rel=1e-12)
+        assert self.check([1.7e308, 0.0, 0.0, 0.0, 0.0, -1.7e308]) == []
