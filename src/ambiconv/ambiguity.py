@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _finite_scalar,
+    _peak,
     as_signal,
     signal_from_json,
     signal_to_json,
@@ -136,7 +137,8 @@ def rotational_family(
         x2' = x1 cos(phi)  - x2 sin(phi),      y2' = y1 sin(theta) - y2 cos(theta).
 
     Both output pairs convolve to the same vector; ``theta == phi`` (mod pi)
-    collapses the two pairs into one and is flagged with a warning.
+    collapses the two pairs into one and is flagged with a warning.  Rotated
+    factors that overflow float64 are refused with ``ValueError``.
     """
     x1s, x2s = as_signal(x1), as_signal(x2)
     y1s, y2s = as_signal(y1), as_signal(y2)
@@ -152,13 +154,28 @@ def rotational_family(
             RuntimeWarning,
             stacklevel=2,
         )
-    x1p = math.cos(theta) * x1s - math.sin(theta) * x2s
-    y1p = math.sin(phi) * y1s - math.cos(phi) * y2s
-    x2p = math.cos(phi) * x1s - math.sin(phi) * x2s
-    y2p = math.sin(theta) * y1s - math.cos(theta) * y2s
-    for arr in (x1p, y1p, x2p, y2p):
-        arr.flags.writeable = False
+    xs, ys = (x1s, _peak(x1s), x2s, _peak(x2s)), (y1s, _peak(y1s), y2s, _peak(y2s))
+    x1p = _rotated(*xs, math.cos(theta), math.sin(theta))
+    y1p = _rotated(*ys, math.sin(phi), math.cos(phi))
+    x2p = _rotated(*xs, math.cos(phi), math.sin(phi))
+    y2p = _rotated(*ys, math.sin(theta), math.cos(theta))
     return x1p, y1p, x2p, y2p
+
+
+def _rotated(a, peak_a: float, b, peak_b: float, c: float, s: float) -> np.ndarray:
+    """``c a - s b`` of trusted arrays with largest |entries| ``peak_a`` and
+    ``peak_b``, frozen; ``ValueError`` if it overflows float64, watched only
+    where ``|c| peak_a + |s| peak_b`` does."""
+    if abs(c) * peak_a + abs(s) * peak_b < math.inf:
+        out = c * a - s * b
+    else:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out = c * a - s * b
+        except FloatingPointError:
+            raise ValueError("the rotated pairs overflow float64: rescale the seed pairs") from None
+    out.flags.writeable = False
+    return out
 
 
 def shift_ambiguity(x, y) -> AmbiguousPair:

@@ -42,7 +42,7 @@ from .core import (
 )
 from .nullspace import (
     M2Certificate,
-    N2Certificate,
+    _levels,
     certificate_to_json,
     classify,
     kernel_basis,
@@ -153,9 +153,7 @@ def _cmd_n0(args) -> int:
 
 
 def _cert_json(cert) -> dict:
-    depth, level = 0, cert
-    while isinstance(level, N2Certificate):
-        depth, level = depth + 1, level.inner
+    depth = len(_levels(cert)[0])
     if depth > MAX_CERT_DEPTH:
         raise ValueError(f"the certificate nests {depth} levels; JSON allows {MAX_CERT_DEPTH}")
     return certificate_to_json(cert)

@@ -6,7 +6,9 @@ the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
 ``np.convolve`` and one column sum over a skewed copy of the matrix; the
-rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).
+rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).  scipy's LAPACK
+wrappers are imported by ``_lapack`` at the first LAPACK call, not with the
+package: commands that never reach LAPACK do not pay for ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3
 
 
 @dataclass(frozen=True)
@@ -87,17 +88,33 @@ def convolve(x, y) -> np.ndarray:
     """Linear convolution of two signals, output length m+n-1.
 
     Bilinear and commutative; exact on integer-valued inputs (``np.convolve``).
+    An output that overflows float64 raises ``ValueError``.
     """
-    out = np.convolve(as_signal(x), as_signal(y))
+    xs, ys = as_signal(x), as_signal(y)
+    out = np.convolve(xs, ys)
+    # np.convolve sets no floating-point flag, so the output itself is tested
+    # where 2 min(m, n) peak products could overflow.
+    bound = _peak(xs) * _peak(ys) * (2 * min(xs.size, ys.size))
+    if not bound < math.inf and not np.isfinite(out).all():
+        raise ValueError("the convolution overflows float64: rescale x or y")
     out.setflags(write=False)
     return out
 
 
 def outer(x, y) -> np.ndarray:
-    """Rank-one lift of a signal pair: W(k,l) = x(k) * y(l)."""
-    w = np.outer(as_signal(x), as_signal(y))
+    """Rank-one lift of a signal pair: W(k,l) = x(k) * y(l); ``ValueError``
+    if the largest product, that of the two peaks, overflows float64."""
+    xs, ys = as_signal(x), as_signal(y)
+    if _peak(xs) * _peak(ys) == math.inf:
+        raise ValueError("the outer product overflows float64: rescale x or y")
+    w = np.outer(xs, ys)
     w.setflags(write=False)
     return w
+
+
+def _peak(xs: np.ndarray) -> float:
+    """The largest |entry| of a trusted 1-D float64 array."""
+    return max(map(abs, xs.tolist()))
 
 
 def lift_apply(w) -> np.ndarray:
@@ -225,7 +242,7 @@ def _rank(w: np.ndarray, thresh: float, peak: float) -> int:
     if not peak * (2.0 * math.sqrt(w.shape[0])) < math.inf:
         e = math.frexp(peak)[1]
         w, thresh = np.ldexp(w, -e), math.ldexp(thresh, -e)
-    r = dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
+    r = _lapack().dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
     return int(np.count_nonzero(np.abs(r.diagonal()) > thresh))
 
 
@@ -233,7 +250,16 @@ def _rank(w: np.ndarray, thresh: float, peak: float) -> int:
 def _qr_workspace(m: int, n: int) -> int:
     """LAPACK's optimal ``dgeqp3`` workspace, which ``scipy.linalg.qr`` queries
     per call; from min(m, n) = 129 less takes a path that rounds differently."""
-    return int(dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+    return int(_lapack().dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first call: ``scipy.linalg``
+    costs more import time than numpy, and most commands never reach it."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
 
 
 # --- JSON wire formats -----------------------------------------------------

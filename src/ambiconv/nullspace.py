@@ -35,6 +35,7 @@ from .core import (
     ToleranceProfile,
     _checked_lift,
     _finite_scalar,
+    _peak,
     _rank,
     as_matrix,
     as_signal,
@@ -73,6 +74,16 @@ class N2Certificate:
     v2: np.ndarray
     inner: "NullspaceCertificate"
 
+    def __repr__(self) -> str:
+        # The dataclass's repr, built in one loop instead of a frame per level.
+        levels, bottom = _levels(self)
+        heads = (
+            f"{type(c).__qualname__}(u1={c.u1!r}, u2={c.u2!r}, "
+            f"v1={c.v1!r}, v2={c.v2!r}, inner="
+            for c in levels
+        )
+        return "".join(heads) + repr(bottom) + ")" * len(levels)
+
 
 @dataclass(frozen=True)
 class M2Certificate:
@@ -101,33 +112,55 @@ class ClassifiedElement:
     refactorization_residual: float
 
 
+def _levels(cert) -> tuple[list[N2Certificate], object]:
+    """The n2 levels of a certificate, top down, and what they nest over."""
+    levels = []
+    while isinstance(cert, N2Certificate):
+        levels.append(cert)
+        cert = cert.inner
+    return levels, cert
+
+
+_N2_VECTORS = ("u1", "u2", "v1", "v2")
+
+
 def certificate_to_json(cert: NullspaceCertificate) -> dict:
-    if isinstance(cert, N0Certificate):
-        return {"kind": "n0", "u": list(map(float, cert.u)), "v": list(map(float, cert.v))}
-    if isinstance(cert, N2Certificate):
-        vectors = {f: list(map(float, getattr(cert, f))) for f in ("u1", "u2", "v1", "v2")}
-        return {"kind": "n2", **vectors, "inner": certificate_to_json(cert.inner)}
-    if isinstance(cert, M2Certificate):
-        return {"kind": "m2", "u": list(map(float, cert.u)), "lambda": float(cert.lam)}
-    if isinstance(cert, RawCertificate):
-        return {"kind": "raw"}
-    raise TypeError(f"not a certificate: {cert!r}")
+    levels, bottom = _levels(cert)
+    if isinstance(bottom, N0Certificate):
+        out = {"kind": "n0", "u": list(map(float, bottom.u)), "v": list(map(float, bottom.v))}
+    elif isinstance(bottom, M2Certificate):
+        out = {"kind": "m2", "u": list(map(float, bottom.u)), "lambda": float(bottom.lam)}
+    elif isinstance(bottom, RawCertificate):
+        out = {"kind": "raw"}
+    else:
+        raise TypeError(f"not a certificate: {bottom!r}")
+    for level in reversed(levels):
+        vectors = {f: list(map(float, getattr(level, f))) for f in _N2_VECTORS}
+        out = {"kind": "n2", **vectors, "inner": out}
+    return out
 
 
 def certificate_from_json(obj) -> NullspaceCertificate:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError('certificate JSON must carry a "kind" discriminator')
-    kind = obj["kind"]
+    levels = []
+    while True:
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError('certificate JSON must carry a "kind" discriminator')
+        kind = obj["kind"]
+        if kind != "n2":
+            break
+        levels.append({f: as_signal(obj[f]) for f in _N2_VECTORS})
+        obj = obj["inner"]
     if kind == "n0":
-        return N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
-    if kind == "n2":
-        vectors = {f: as_signal(obj[f]) for f in ("u1", "u2", "v1", "v2")}
-        return N2Certificate(**vectors, inner=certificate_from_json(obj["inner"]))
-    if kind == "m2":
-        return M2Certificate(u=as_signal(obj["u"]), lam=float(obj["lambda"]))
-    if kind == "raw":
-        return RawCertificate()
-    raise ValueError(f"unknown certificate kind: {kind!r}")
+        cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
+    elif kind == "m2":
+        cert = M2Certificate(u=as_signal(obj["u"]), lam=float(obj["lambda"]))
+    elif kind == "raw":
+        cert = RawCertificate()
+    else:
+        raise ValueError(f"unknown certificate kind: {kind!r}")
+    for vectors in reversed(levels):
+        cert = N2Certificate(**vectors, inner=cert)
+    return cert
 
 
 def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:
@@ -154,7 +187,7 @@ def n0_element(u, v) -> np.ndarray:
     most two.  ``ValueError`` if twice the largest |u(k) v(l)| overflows.
     """
     us, vs = as_signal(u), as_signal(v)
-    if max(map(abs, us.tolist())) * max(map(abs, vs.tolist())) * 2.0 == np.inf:
+    if _peak(us) * _peak(vs) * 2.0 == np.inf:
         raise ValueError("the bordered product u v^T overflows float64: rescale u or v")
     block = us[:, None] * vs
     return _corner_embed(block, -block)
@@ -184,8 +217,7 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     v1s, v2s = as_signal(v1), as_signal(v2)
     if u1s.size != u2s.size or v1s.size != v2s.size:
         raise ValueError("factor lengths must agree pairwise")
-    pu1, pu2, pv1, pv2 = (max(map(abs, s.tolist())) for s in (u1s, u2s, v1s, v2s))
-    if pu1 * pv1 + pu2 * pv2 == np.inf:
+    if _peak(u1s) * _peak(v1s) + _peak(u2s) * _peak(v2s) == np.inf:
         raise ValueError("the corner products u1 v1^T, u2 v2^T overflow float64: rescale them")
     a, b = u1s[:, None] * v1s, u2s[:, None] * v2s
     inner = a + b

@@ -12,6 +12,8 @@ real roots ``r = cot(gamma)`` of ``W`` are the real eigenvalues of its
 companion matrix, from one direct LAPACK ``dgeev`` call (scipy's wrapper,
 eigenvalues only); each linear factor is divided out by synthetic division
 from the end where the recurrence contracts and checked by reconstruction.
+scipy's wrappers come from ``core._lapack``, which imports them at the first
+LAPACK call, so importing this module does not load ``scipy.linalg``.
 Each root gives one pair plus, in ``quotient_decompose``, its mirror
 ``(-w_star, gamma + pi)``: at most ``2d-2`` pairs, at least two for even ``d``.
 """
@@ -23,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeev, dgeev_lwork
 
-from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, as_signal
+from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, _peak, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -48,11 +49,15 @@ class QuotientElement:
 
 
 def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
-    """Forward map: w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma)."""
+    """Forward map: w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma);
+    ``ValueError`` if it overflows float64."""
     ws = as_signal(w_star)
     if d is not None and d != ws.size + 1:
         raise ValueError(f"w_star has {ws.size} entries, expected d-1 = {d - 1}")
     out = _bordered(ws, _finite_scalar(gamma, "gamma"))
+    # |cos| + |sin| <= sqrt(2): the output is tested only where 2 peaks overflow.
+    if not _peak(ws) * 2.0 < math.inf and not np.isfinite(out).all():
+        raise ValueError("the reconstruction overflows float64: rescale w_star")
     out.flags.writeable = False
     return out
 
@@ -161,7 +166,7 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
     comp = np.zeros((n, n), order="F")
     comp.reshape(-1, order="F")[1 :: n + 1] = 1.0  # the subdiagonal
     comp[0] = -ws[-2::-1] / ws[-1]
-    wr, wi, _, _, info = dgeev(
+    wr, wi, _, _, info = _lapack().dgeev(
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
     )
     if info:
@@ -177,7 +182,7 @@ def _workspace(n: int) -> int:
     """LAPACK's optimal ``dgeev`` workspace at order n, the size
     ``np.linalg.eigvals`` queries.  From n = 75 the Hessenberg QR takes a
     different path, with different rounding, when given less."""
-    return int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
+    return int(_lapack().dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
 
 def _divide_low(w: list[float], a: float, b: float) -> list[float]:

@@ -9,6 +9,7 @@ array-based quotient candidate builder, which the package's skewed column
 sum, flat classifier and list-based candidate builder must reproduce exactly.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -220,3 +221,27 @@ def _divide_low_array(ws, a, b):
     for wj in ws[:-1].tolist():
         q.append((wj - b * q[-1]) / a)
     return np.array(q[1:])
+
+
+# --- certificate helpers, one Python frame per level -------------------------
+
+
+def dataclass_repr(obj):
+    """The repr ``dataclasses`` generates, built field by field, recursively."""
+    if not dataclasses.is_dataclass(obj):
+        return repr(obj)
+    fields = (f for f in dataclasses.fields(obj) if f.repr)
+    body = ", ".join(f"{f.name}={dataclass_repr(getattr(obj, f.name))}" for f in fields)
+    return f"{type(obj).__qualname__}({body})"
+
+
+def certificate_json_recursive(cert):
+    """The JSON form of a certificate, built recursively level by level."""
+    if cert.kind == "n2":
+        vectors = {f: [float(v) for v in getattr(cert, f)] for f in ("u1", "u2", "v1", "v2")}
+        return {"kind": "n2", **vectors, "inner": certificate_json_recursive(cert.inner)}
+    if cert.kind == "n0":
+        return {"kind": "n0", "u": [float(v) for v in cert.u], "v": [float(v) for v in cert.v]}
+    if cert.kind == "m2":
+        return {"kind": "m2", "u": [float(v) for v in cert.u], "lambda": float(cert.lam)}
+    return {"kind": "raw"}

@@ -91,6 +91,15 @@ class TestRotationalFamily:
         with pytest.raises(ValueError):
             rotational_family([1.0, 2.0], [2.0, 1.0], [1.0], [1.0], 0.5, 0.25)
 
+    def test_overflowing_rotated_factors_are_refused(self):
+        # The seed outputs are finite (1.7e8 each); x1' and x2' are not.
+        with pytest.raises(ValueError, match="overflow float64: rescale"):
+            rotational_family([1.7e308], [-1.7e308], [1e-300], [-1e-300], math.pi / 4, 0.1)
+        # Past the peak bound, rotated factors that fit are still returned.
+        big, tiny = [1.7e308], [1e-300]
+        x1p, _, x2p, _ = rotational_family(big, big, tiny, tiny, math.pi / 4, 0.1)
+        assert abs(x1p[0]) <= 1e293 and np.isfinite(x2p).all()
+
     def test_equal_angles_flagged(self):
         with pytest.warns(RuntimeWarning):
             x1p, _, x2p, _ = rotational_family(X1, X2, Y1, Y2, 0.7, 0.7)

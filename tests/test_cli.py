@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,18 @@ class TestErrorPaths:
             assert (code, out) == (2, "")
             error = json.loads(err)["error"]
             assert error["code"] == "invalid-input" and "overflow" in error["message"]
+
+    def test_overflowing_convolution_is_usage_error(self, tmp_path, capsys):
+        # The inputs are finite: the refusal names the overflow, and no
+        # RuntimeWarning reaches stderr.
+        x = write_signal(tmp_path / "x.json", [1e200, 1.0])
+        y = write_signal(tmp_path / "y.json", [1e200, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["convolve", "--x", x, "--y", y])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-input" and "overflows float64" in error["message"]
 
     def test_overflowing_output_difference_is_usage_error(self, tmp_path, capsys):
         big = np.array([1.3e154, 1.0])

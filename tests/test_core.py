@@ -123,6 +123,14 @@ class TestConvolve:
             want = convolve_brute(x, y)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
+    def test_overflowing_output_is_refused(self):
+        # Finite inputs whose output overflows: a refusal, never inf or NaN.
+        for x, y in (([1e200, 1.0], [1e200, 2.0]), ([1e200, 1e200], [1e200, -1e200])):
+            with pytest.raises(ValueError, match="overflows float64: rescale"):
+                convolve(x, y)
+        # Past the peak bound, an output that fits is still returned.
+        assert convolve([1e154, 1.0], [1e154, 2.0]).tolist() == [1e154 * 1e154, 3e154, 2.0]
+
     @settings(max_examples=60, deadline=None)
     @given(signal_entries, signal_entries)
     def test_commutative(self, x, y):
@@ -244,6 +252,12 @@ class TestOuterAndRank:
 
     def test_outer_zero_factor(self):
         assert not outer([0.0, 0.0], [1.0, 2.0]).any()
+
+    def test_overflowing_outer_is_refused(self):
+        # Refused before numpy multiplies, so no RuntimeWarning either.
+        with pytest.raises(ValueError, match="overflows float64: rescale"):
+            outer([1e200, 1.0], [1.0, 1e200])
+        assert outer([1e154, 1.0], [1e154]).tolist() == [[1e154 * 1e154], [1e154]]
 
     def test_rank_zero_matrix(self):
         assert rank_estimate(np.zeros((4, 6))) == 0

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -27,7 +28,9 @@ from ambiconv import (
 )
 from oracles import (
     antidiagonal_sums_brute,
+    certificate_json_recursive,
     classify_recursive,
+    dataclass_repr,
     operator_matrix,
     transpose_certificate,
 )
@@ -535,6 +538,47 @@ class TestCertificates:
         back = certificate_from_json(obj)
         assert back.lam == 1.5
         assert certificate_to_json(certificate_from_json({"kind": "raw"})) == {"kind": "raw"}
+
+    @pytest.mark.parametrize("m, n", [(5, 9), (12, 12), (9, 5), (2, 6)])
+    def test_json_and_repr_match_recursive_references(self, m, n):
+        # Every level of generated and classified certificates, every bottom kind.
+        matrix, generated = n2_generate(m, n, 1)
+        certs = [generated, classify(matrix).certificate, classify(matrix.T).certificate]
+        certs += [M2Certificate(u=np.array([1.0, -2.0]), lam=0.5), RawCertificate()]
+        for cert in certs:
+            while True:
+                assert repr(cert) == dataclass_repr(cert)
+                want = json.dumps(certificate_json_recursive(cert))
+                assert json.dumps(certificate_to_json(cert)) == want
+                back = certificate_from_json(json.loads(want))
+                assert json.dumps(certificate_to_json(back)) == want
+                if not isinstance(cert, N2Certificate):
+                    break
+                cert = cert.inner
+
+    def test_deep_certificate_helpers_without_recursion(self):
+        # One loop each: 60 spare frames serve 998 levels (JSON) and 1500 (repr).
+        cert = n2_generate(1001, 1000, 0)[1]
+        one = np.ones(1)
+        chain = M2Certificate(u=one, lam=2.0)
+        for _ in range(1500):
+            chain = N2Certificate(u1=one, u2=-one, v1=one, v2=one, inner=chain)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            obj = certificate_to_json(cert)
+            again = certificate_to_json(certificate_from_json(obj))
+            text = repr(chain)
+        finally:
+            sys.setrecursionlimit(limit)
+        # The references, and json.dumps itself, need a frame or more per level.
+        sys.setrecursionlimit(limit + 5000)
+        try:
+            want = json.dumps(certificate_json_recursive(cert))
+            assert json.dumps(obj) == want and json.dumps(again) == want
+            assert text == dataclass_repr(chain)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ class TestReconstruct:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             reconstruct([1.0, 2.0], 0.3, d=5)
+
+    def test_overflowing_reconstruction_is_refused(self):
+        with pytest.raises(ValueError, match="overflows float64: rescale"):
+            reconstruct([1.7e308, -1.7e308], math.pi / 4)
+        # Past the 2-peak bound, an output that fits is still returned.
+        assert np.isfinite(reconstruct([1.7e308, 1.7e308], math.pi / 4)).all()
 
     def test_matches_degree_one_convolution(self):
         # the bordered product is convolution with (cos g, -sin g)
@@ -170,7 +177,8 @@ class TestDecompose:
             n = a.shape[0]
             return np.zeros(n), np.zeros(n), np.zeros((1, 1)), np.zeros((1, 1)), n
 
-        monkeypatch.setattr(quotient, "dgeev", no_convergence)
+        lapack = SimpleNamespace(dgeev=no_convergence, dgeev_lwork=quotient._lapack().dgeev_lwork)
+        monkeypatch.setattr(quotient, "_lapack", lambda: lapack)
         with pytest.raises(quotient.RootFindingError, match="did not converge"):
             quotient_decompose([1.0, 0.5, -0.5, 2.0])
 
