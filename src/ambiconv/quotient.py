@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, _peak, as_signal
+from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -55,8 +55,7 @@ def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
     if d is not None and d != ws.size + 1:
         raise ValueError(f"w_star has {ws.size} entries, expected d-1 = {d - 1}")
     out = _bordered(ws, _finite_scalar(gamma, "gamma"))
-    # |cos| + |sin| <= sqrt(2): the output is tested only where 2 peaks overflow.
-    if not _peak(ws) * 2.0 < math.inf and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise ValueError("the reconstruction overflows float64: rescale w_star")
     out.flags.writeable = False
     return out
