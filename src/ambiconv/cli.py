@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -273,8 +274,8 @@ def _cmd_trials(args) -> int:
     _emit(
         report.to_json(include_timing=args.timing),
         args,
-        csv_rows=report.to_csv_rows() if args.format == "csv" else (),
-        csv_header=list(report.CSV_COLUMNS),
+        csv_rows=report.to_csv_rows(args.timing) if args.format == "csv" else (),
+        csv_header=list(report.CSV_COLUMNS) + ["wall_time_s"] * args.timing,
     )
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
@@ -366,6 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built at its first call: building the tree
+    of subcommand parsers costs more than parsing one command line."""
+    return build_parser()
+
+
 def _bind_tolerance_values(argv: list[str]) -> list[str]:
     """Rewrite ``--tol-rel -1e-3`` as ``--tol-rel=-1e-3``: argparse takes
     ``-1e-3`` or ``-inf`` for an option name, so the value would not reach
@@ -380,9 +388,14 @@ def _bind_tolerance_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit
+    code.  ``main`` may be called repeatedly in one process: it builds its
+    parser at the first call and reuses it, and no argument carries from one
+    call to the next."""
+    args = _parser().parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
     try:
+        if args.seed < 0:
+            raise InputError("bad-seed", f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early raises here, not at exit
         return code

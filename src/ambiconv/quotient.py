@@ -98,7 +98,7 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
 def _usable(ws: np.ndarray, tol: ToleranceProfile, name: str) -> float:
     """The largest |entry| of the trusted 1-D float64 array ``ws``, the
     signal ``name``, once neither endpoint is within tolerance of zero."""
-    peak = float(np.abs(ws).max())
+    peak = max(map(abs, ws.tolist()))
     accept = tol._at(peak)
     for end in (0, -1):
         if abs(ws[end]) <= accept:
@@ -164,7 +164,7 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
     n = ws.size - 1
     comp = np.zeros((n, n), order="F")
     comp.reshape(-1, order="F")[1 :: n + 1] = 1.0  # the subdiagonal
-    comp[0] = -ws[-2::-1] / ws[-1]
+    comp[0] = ws[-2::-1] / -ws[-1]
     wr, wi, _, _, info = _lapack().dgeev(
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
     )

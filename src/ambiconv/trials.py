@@ -104,10 +104,13 @@ class TrialReport:
 
     CSV_COLUMNS = ("suite", "index", "m", "n", "d", "label", "success", "residual", "collinearity")
 
-    def to_csv_rows(self) -> list[list]:
+    def to_csv_rows(self, include_timing: bool = False) -> list[list]:
+        """One row per trial under ``CSV_COLUMNS``, plus ``wall_time_s`` last
+        if ``include_timing``."""
         return [
             [self.suite, r.index, *(r.dims.get(k, "") for k in "mnd"), r.label]
             + [int(r.success), r.residual, "" if r.collinearity is None else r.collinearity]
+            + [r.wall_time] * include_timing
             for r in self.rows
         ]
 
@@ -166,7 +169,7 @@ def attack_suite(
 
         def check():
             pair = attack(x, y, tol)
-            scale = float(np.max(np.abs(np.convolve(x, y))))
+            scale = float(np.abs(np.convolve(x, y)).max())
             ok = (
                 pair.residual <= ATTACK_RESIDUAL_REL * scale
                 and pair.collinearity < 1.0 - COLLINEARITY_MARGIN

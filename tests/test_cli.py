@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ambiconv
-from ambiconv import AmbiguousPair, trials
+from ambiconv import AmbiguousPair, cli, trials
 from ambiconv.cli import MAX_CERT_DEPTH, _cert_json, main
 from ambiconv.core import matrix_to_json, signal_to_json
 from ambiconv.nullspace import N0Certificate, N2Certificate
@@ -222,6 +222,18 @@ class TestTrialsCommand:
         )
         assert code == 0
         assert "wall_time_s" in out
+
+    def test_csv_timing_adds_wall_time_column(self, capsys):
+        argv = ["trials", "--suite", "attack", "--n", "3", "--format", "csv"]
+        _, plain, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--timing"])
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert header.split(",") == [*trials.TrialReport.CSV_COLUMNS, "wall_time_s"]
+        assert len(rows) == 3
+        for timed, untimed in zip(rows, plain.strip().splitlines()[1:]):
+            kept, wall = timed.rsplit(",", 1)
+            assert kept == untimed and float(wall) >= 0.0
 
     @pytest.mark.parametrize(
         "argv, recorded",
@@ -508,6 +520,23 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "invalid-input"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trials", "--suite", "attack"],
+            ["n2", "--m", "3", "--n", "3"],
+            ["kernel", "--m", "2", "--n", "2"],
+        ],
+        ids=["trials", "n2", "kernel"],
+    )
+    def test_negative_seed_is_bad_seed(self, argv, capsys):
+        code, out, err = run(capsys, [*argv, "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-seed"
+        assert "--seed" in error["message"]
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -555,3 +584,42 @@ class TestErrorPaths:
         assert obj["code"] == "bad-output"
         assert obj["path"] == str(target)
         assert not target.parent.exists()
+
+
+class TestRepeatedMain:
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built, build_parser = [], cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        calls = (["kernel", "--m", "2", "--n", "3"], ["basis", "--m", "2", "--n", "2"]) * 2
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in calls:
+                assert run(capsys, argv)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_format_does_not_carry_over(self, capsys):
+        argv = ["trials", "--suite", "structure", "--nmax", "3"]
+        assert run(capsys, argv + ["--format", "csv"])[1].startswith("suite,index")
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["suite"] == "structure"
+
+    def test_timing_does_not_carry_over(self, capsys):
+        argv = ["trials", "--suite", "attack", "--n", "2", "--seed", "1"]
+        assert "wall_time_s" in run(capsys, argv + ["--timing"])[1]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "wall_time_s" not in out
+
+    def test_usage_error_leaves_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["kernel", "--m", "2", "--n", "2"])
+        assert code == 0 and json.loads(out)["count"] == 1

@@ -558,7 +558,13 @@ class TestCertificates:
 
     def test_deep_certificate_helpers_without_recursion(self):
         # One loop each: 60 spare frames serve 998 levels (JSON) and 1500 (repr).
-        cert = n2_generate(1001, 1000, 0)[1]
+        # The JSON chain is as deep as n2_generate(1001, 1000, 0)'s certificate;
+        # its one-entry vectors spare json.dumps that certificate's 2 million
+        # floats, since the loops are tested by depth, not width.
+        cert = N0Certificate(u=np.array([0.5]), v=np.array([-1.5]))
+        for k in range(998):
+            a = np.array([k / 7.0])
+            cert = N2Certificate(u1=a, u2=-a, v1=a + 1.0, v2=a - 1.0, inner=cert)
         one = np.ones(1)
         chain = M2Certificate(u=one, lam=2.0)
         for _ in range(1500):
