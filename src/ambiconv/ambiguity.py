@@ -28,7 +28,7 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _finite_scalar,
-    _peak,
+    _signal,
     as_signal,
     signal_from_json,
     signal_to_json,
@@ -104,17 +104,16 @@ class PairReport:
 
 def collinearity(a, b) -> float:
     """|cosine similarity| of two signals, clamped to [0, 1]."""
-    av, bv = as_signal(a), as_signal(b)
+    (av, peak_a), bv = _signal(a), as_signal(b)
     if av.size != bv.size:
         raise ValueError("signals must have equal length")
-    return _collinearity(av, bv)
+    return _collinearity(av, bv, peak_a)
 
 
-def _collinearity(av: np.ndarray, bv: np.ndarray, peak_a: float | None = None) -> float:
-    """``collinearity`` of trusted equal-length arrays, ``peak_a`` being max|av|
-    if known.  Each is first scaled by the power of two of its peak (exact in
-    binary floating point), so no dot product under- or overflows."""
-    peak_a = float(np.abs(av).max()) if peak_a is None else peak_a
+def _collinearity(av: np.ndarray, bv: np.ndarray, peak_a: float) -> float:
+    """``collinearity`` of trusted equal-length arrays, ``peak_a`` being max|av|.
+    Each is first scaled by the power of two of its peak (exact in binary
+    floating point), so no dot product under- or overflows."""
     peak_b = float(np.abs(bv).max())
     if peak_a == 0.0 or peak_b == 0.0:
         return 0.0
@@ -140,8 +139,8 @@ def rotational_family(
     collapses the two pairs into one and is flagged with a warning.  Rotated
     factors that overflow float64 are refused with ``ValueError``.
     """
-    x1s, x2s = as_signal(x1), as_signal(x2)
-    y1s, y2s = as_signal(y1), as_signal(y2)
+    (x1s, x1_peak), (x2s, x2_peak) = _signal(x1), _signal(x2)
+    (y1s, y1_peak), (y2s, y2_peak) = _signal(y1), _signal(y2)
     theta, phi = _finite_scalar(theta, "theta"), _finite_scalar(phi, "phi")
     tol = tol or DEFAULT_TOL
     residual, peak, peak_alt = _outputs(x1s, y1s, x2s, y2s)
@@ -154,7 +153,7 @@ def rotational_family(
             RuntimeWarning,
             stacklevel=2,
         )
-    xs, ys = (x1s, _peak(x1s), x2s, _peak(x2s)), (y1s, _peak(y1s), y2s, _peak(y2s))
+    xs, ys = (x1s, x1_peak, x2s, x2_peak), (y1s, y1_peak, y2s, y2_peak)
     x1p = _rotated(*xs, math.cos(theta), math.sin(theta))
     y1p = _rotated(*ys, math.sin(phi), math.cos(phi))
     x2p = _rotated(*xs, math.cos(phi), math.sin(phi))
@@ -186,7 +185,7 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
     convolutions accumulate the identical products in the identical order,
     so the residual is exactly zero; a convolution that overflows is refused.
     """
-    xs, ys = as_signal(x), as_signal(y)
+    (xs, x_peak), ys = _signal(x), as_signal(y)
     if not xs.any() or not ys.any():
         raise ValueError("x and y must be nonzero")
     if xs[-1] == 0.0 and ys[0] == 0.0:
@@ -196,10 +195,8 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
         x_alt = np.concatenate((xs[1:], [0.0]))
         y_alt = np.concatenate(([0.0], ys[:-1]))
     else:
-        raise ValueError(
-            "no pathological zero pattern: need x(m) = y(1) = 0 or x(1) = y(n) = 0"
-        )
-    return _pair(xs, ys, x_alt, y_alt, _collinearity(xs, x_alt))
+        raise ValueError("no pathological zero pattern: need x(m) = y(1) = 0 or x(1) = y(n) = 0")
+    return _pair(xs, ys, x_alt, y_alt, _collinearity(xs, x_alt, x_peak))
 
 
 def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
@@ -264,12 +261,13 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     without checking the factors after the winning combination.  A pair whose
     convolution overflows is refused with ``ValueError``.
     """
-    xs, ys = as_signal(x), as_signal(y)
+    (xs, x_peak), (ys, y_peak) = _signal(x), _signal(y)
     tol = tol or DEFAULT_TOL
     m, n = xs.size, ys.size
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
-    x_peak, y_peak = _usable(xs, tol, "x"), _usable(ys, tol, "y")
+    _usable(xs, x_peak, tol, "x")
+    _usable(ys, y_peak, tol, "y")
     # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
@@ -318,13 +316,11 @@ def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> Pai
     ``ValueError``.
     """
     tol = tol or DEFAULT_TOL
-    x, y = as_signal(pair.x), as_signal(pair.y)
+    (x, x_peak), y = _signal(pair.x), as_signal(pair.y)
     x_alt, y_alt = as_signal(pair.x_alt), as_signal(pair.y_alt)
     if x.size != x_alt.size or y.size != y_alt.size:
         raise ValueError("certificate pair dimensions do not match the original pair")
     residual, peak, _ = _outputs(x, y, x_alt, y_alt)
-    coll = _collinearity(x, x_alt)
+    coll = _collinearity(x, x_alt, x_peak)
     certifies = residual <= tol._at(peak) and coll < 1.0 - COLLINEARITY_MARGIN
-    return PairReport(
-        residual=residual, collinearity=coll, certifies_unidentifiability=certifies
-    )
+    return PairReport(residual=residual, collinearity=coll, certifies_unidentifiability=certifies)

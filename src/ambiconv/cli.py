@@ -183,16 +183,11 @@ def _cmd_kernel(args) -> int:
 def _cmd_decompose(args) -> int:
     w = _load_signal(args.input)
     elements = quotient_decompose(w, _tol(args))
-    payload = []
-    csv_rows = []
+    payload, csv_rows = [], []
     for e in elements:
         residual = float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w)))
         payload.append(
-            {
-                "w_star": signal_to_json(e.w_star),
-                "gamma": float(e.gamma),
-                "residual": residual,
-            }
+            {"w_star": signal_to_json(e.w_star), "gamma": float(e.gamma), "residual": residual}
         )
         csv_rows.append([float(e.gamma), residual] + list(map(float, e.w_star)))
     _emit(payload, args, csv_rows=csv_rows, csv_header=["gamma", "residual", "w_star..."])

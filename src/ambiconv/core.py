@@ -9,6 +9,12 @@ because all values remain far below 2**53.  Both primitives are numpy only:
 rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).  scipy's LAPACK
 wrappers are imported by ``_lapack`` at the first LAPACK call, not with the
 package: commands that never reach LAPACK do not pay for ``scipy.linalg``.
+
+Operands are validated at the public boundary only, each in one reduction:
+``_signal`` and ``_matrix`` copy the input and take its peak (largest
+|entry|) as numpy's ``abs().max()``, which is also the finiteness test,
+``peak < inf``: numpy's max propagates a NaN from any position, while
+Python's ``max`` skips one that follows a larger entry.
 """
 
 from __future__ import annotations
@@ -56,13 +62,15 @@ DEFAULT_TOL = ToleranceProfile()
 
 def as_signal(x) -> np.ndarray:
     """Validate and return a signal as an immutable 1-D float64 array."""
+    return _signal(x)[0]
+
+
+def _signal(x) -> tuple[np.ndarray, float]:
+    """``as_signal(x)`` and its largest |entry|, from one reduction."""
     arr = np.array(x, dtype=float, copy=True)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"signal must be 1-D with length >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("signal entries must be finite")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr, "signal")
 
 
 def _finite_scalar(value, name: str) -> float:
@@ -75,13 +83,25 @@ def _finite_scalar(value, name: str) -> float:
 
 def as_matrix(w) -> np.ndarray:
     """Validate and return a matrix as an immutable 2-D float64 array."""
+    return _matrix(w)[0]
+
+
+def _matrix(w) -> tuple[np.ndarray, float]:
+    """``as_matrix(w)`` and its largest |entry|, from one reduction."""
     arr = np.array(w, dtype=float, copy=True)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D with m, n >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+    return _frozen(arr, "matrix")
+
+
+def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
+    """A fresh operand array, frozen, and its peak; ``ValueError`` unless
+    the peak, NaN for any NaN entry, is below inf."""
+    peak = float(np.abs(arr).max())
+    if not peak < math.inf:
+        raise ValueError(f"{kind} entries must be finite")
     arr.setflags(write=False)
-    return arr
+    return arr, peak
 
 
 def convolve(x, y) -> np.ndarray:
@@ -101,17 +121,12 @@ def convolve(x, y) -> np.ndarray:
 def outer(x, y) -> np.ndarray:
     """Rank-one lift of a signal pair: W(k,l) = x(k) * y(l); ``ValueError``
     if the largest product, that of the two peaks, overflows float64."""
-    xs, ys = as_signal(x), as_signal(y)
-    if _peak(xs) * _peak(ys) == math.inf:
+    (xs, x_peak), (ys, y_peak) = _signal(x), _signal(y)
+    if x_peak * y_peak == math.inf:
         raise ValueError("the outer product overflows float64: rescale x or y")
     w = np.outer(xs, ys)
     w.setflags(write=False)
     return w
-
-
-def _peak(xs: np.ndarray) -> float:
-    """The largest |entry| of a trusted 1-D float64 array."""
-    return max(map(abs, xs.tolist()))
 
 
 def lift_apply(w) -> np.ndarray:
@@ -120,8 +135,7 @@ def lift_apply(w) -> np.ndarray:
     Satisfies ``lift_apply(outer(x, y)) == convolve(x, y)``; sums that
     overflow float64 raise ``ValueError``.
     """
-    ws = as_matrix(w)
-    out = _checked_lift(ws, float(np.abs(ws).max()))
+    out = _checked_lift(*_matrix(w))
     out.setflags(write=False)
     return out
 
@@ -224,8 +238,7 @@ def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
     Counts pivots of the triangular factor whose magnitude exceeds the
     tol-scaled threshold; exact on modest integer-valued matrices.
     """
-    ws = as_matrix(w)
-    peak = float(np.abs(ws).max())
+    ws, peak = _matrix(w)
     return _rank(ws, (tol or DEFAULT_TOL)._at(peak), peak)
 
 
@@ -240,7 +253,7 @@ def _rank(w: np.ndarray, thresh: float, peak: float) -> int:
         e = math.frexp(peak)[1]
         w, thresh = np.ldexp(w, -e), math.ldexp(thresh, -e)
     r = _lapack().dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
-    return int(np.count_nonzero(np.abs(r.diagonal()) > thresh))
+    return sum(abs(d) > thresh for d in r.diagonal().tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,7 +307,5 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError('matrix JSON must be {"m": m, "n": n, "entries": [[...], ...]}')
     w = as_matrix(obj["entries"])
     if (int(obj["m"]), int(obj["n"])) != w.shape:
-        raise ValueError(
-            f'matrix JSON dims ({obj["m"]}, {obj["n"]}) != entry shape {w.shape}'
-        )
+        raise ValueError(f'matrix JSON dims ({obj["m"]}, {obj["n"]}) != entry shape {w.shape}')
     return w

@@ -35,9 +35,9 @@ from .core import (
     ToleranceProfile,
     _checked_lift,
     _finite_scalar,
-    _peak,
+    _matrix,
     _rank,
-    as_matrix,
+    _signal,
     as_signal,
 )
 
@@ -122,6 +122,7 @@ def _levels(cert) -> tuple[list[N2Certificate], object]:
 
 
 _N2_VECTORS = ("u1", "u2", "v1", "v2")
+_JSON_KEYS = {"n0": ("u", "v"), "n2": (*_N2_VECTORS, "inner"), "m2": ("u", "lambda"), "raw": ()}
 
 
 def certificate_to_json(cert: NullspaceCertificate) -> dict:
@@ -146,6 +147,12 @@ def certificate_from_json(obj) -> NullspaceCertificate:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError('certificate JSON must carry a "kind" discriminator')
         kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in _JSON_KEYS:
+            raise ValueError(f"unknown certificate kind: {kind!r}")
+        missing = [key for key in _JSON_KEYS[kind] if key not in obj]
+        if missing:
+            keys = ", ".join(_JSON_KEYS[kind])
+            raise ValueError(f"{kind} certificate JSON lacks {', '.join(missing)} (needs {keys})")
         if kind != "n2":
             break
         levels.append({f: as_signal(obj[f]) for f in _N2_VECTORS})
@@ -154,10 +161,8 @@ def certificate_from_json(obj) -> NullspaceCertificate:
         cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
     elif kind == "m2":
         cert = M2Certificate(u=as_signal(obj["u"]), lam=float(obj["lambda"]))
-    elif kind == "raw":
-        cert = RawCertificate()
     else:
-        raise ValueError(f"unknown certificate kind: {kind!r}")
+        cert = RawCertificate()
     for vectors in reversed(levels):
         cert = N2Certificate(**vectors, inner=cert)
     return cert
@@ -186,8 +191,8 @@ def n0_element(u, v) -> np.ndarray:
     cancel pairwise (exactly for integer-valued inputs) and its rank is at
     most two.  ``ValueError`` if twice the largest |u(k) v(l)| overflows.
     """
-    us, vs = as_signal(u), as_signal(v)
-    if _peak(us) * _peak(vs) * 2.0 == np.inf:
+    (us, u_peak), (vs, v_peak) = _signal(u), _signal(v)
+    if u_peak * v_peak * 2.0 == np.inf:
         raise ValueError("the bordered product u v^T overflows float64: rescale u or v")
     block = us[:, None] * vs
     return _corner_embed(block, -block)
@@ -213,11 +218,11 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     plus the largest |u2(k) v2(l)| overflows, or the sums do.
     """
     tol = tol or DEFAULT_TOL
-    u1s, u2s = as_signal(u1), as_signal(u2)
-    v1s, v2s = as_signal(v1), as_signal(v2)
+    (u1s, u1_peak), (u2s, u2_peak) = _signal(u1), _signal(u2)
+    (v1s, v1_peak), (v2s, v2_peak) = _signal(v1), _signal(v2)
     if u1s.size != u2s.size or v1s.size != v2s.size:
         raise ValueError("factor lengths must agree pairwise")
-    if _peak(u1s) * _peak(v1s) + _peak(u2s) * _peak(v2s) == np.inf:
+    if u1_peak * v1_peak + u2_peak * v2_peak == np.inf:
         raise ValueError("the corner products u1 v1^T, u2 v2^T overflow float64: rescale them")
     a, b = u1s[:, None] * v1s, u2s[:, None] * v2s
     inner = a + b
@@ -232,12 +237,6 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     return _corner_embed(a, b)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """Mark an array the package computed itself as immutable; return it."""
-    arr.setflags(write=False)
-    return arr
-
-
 def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
     """Nest ``levels`` (each ``(u1, u2, v1, v2, turns before it)``, top down)
     over ``bottom`` (an n0's ``(u, v)`` after ``turns`` turns; ``None``: raw),
@@ -248,10 +247,14 @@ def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
         u, v = bottom
         for _ in range(turns % 4):
             u, v = v, -u
-        cert = N0Certificate(u=_readonly(u), v=_readonly(v))
+        u.setflags(write=False)
+        v.setflags(write=False)
+        cert = N0Certificate(u=u, v=v)
     for u1, u2, v1, v2, before in reversed(levels):
+        for field in (u1, u2, v1, v2):
+            field.setflags(write=False)
         fields = (v2, v1, u2, u1) if before % 2 else (u1, u2, v1, v2)
-        cert = N2Certificate(*map(_readonly, fields), inner=cert)
+        cert = N2Certificate(*fields, inner=cert)
     return cert
 
 
@@ -275,9 +278,9 @@ def n2_generate(
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")
-    rng = np.random.default_rng(seed)
-    p, q = rng.uniform(-1.0, 1.0, (2, min(m, n)))
-    b = rng.uniform(-1.0, 1.0, abs(n - m) + 1)
+    k = min(m, n)  # p, q and then b, drawn as one array
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * k + abs(n - m) + 1)
+    p, q, b = draws[:k], draws[k : 2 * k], draws[2 * k :]
     # A = q0 P - p0 Q has no constant term, B = q[-1] P - p[-1] Q no leading
     # term, and the change of basis has determinant c.  So with P' = A / (cz)
     # and Q' = B, P(s)Q(t) - Q(s)P(t) = s P'(s)Q'(t) - t Q'(s)P'(t): W embeds
@@ -285,14 +288,16 @@ def n2_generate(
     # residual is the same swap on (p', q').  W's corners are b[0] c and
     # b[-1] c while its blocks grow as 1 / c; the end coefficients below,
     # a basis every span{P, Q} with c != 0 has, fix c = 1 at the top level.
+    # Each level reads them as Python floats, which round as numpy scalars do.
     p[0], p[-1], q[0], q[-1] = 1.0, 0.0, 0.0, 1.0
-    levels = []
+    levels, turns = [], int(m > n)
     while p.size > 1:
-        c = q[-1] * p[0] - q[0] * p[-1]
-        p, q = (q[0] * p - p[0] * q)[1:] / c, (q[-1] * p - p[-1] * q)[:-1]
-        levels.append((-q, p, np.convolve(b, p), np.convolve(b, q), int(m > n)))
+        p0, p1, q0, q1 = p.item(0), p.item(-1), q.item(0), q.item(-1)
+        c = q1 * p0 - q0 * p1
+        p, q = (q0 * p - p0 * q)[1:] / c, (q1 * p - p1 * q)[:-1]
+        levels.append((-q, p, np.convolve(b, p), np.convolve(b, q), turns))
     # One-entry p' and q' make the inner residual p'q'(b - b) vanish.
-    u1, _, v1, _, turns = levels.pop()
+    u1, _, v1, _, _ = levels.pop()
     cert = _nest(levels, (u1, v1), turns)
     return certificate_to_matrix(cert), cert
 
@@ -350,8 +355,7 @@ def kernel_basis(m: int, n: int) -> list[np.ndarray]:
 def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
     """True iff rank <= 2 and the anti-diagonal sums vanish at tol scale;
     ``ValueError`` if the sums overflow float64."""
-    ws = as_matrix(w)
-    return _in_rank2_nullspace(ws, float(np.abs(ws).max()), tol or DEFAULT_TOL)
+    return _in_rank2_nullspace(*_matrix(w), tol or DEFAULT_TOL)
 
 
 def _in_rank2_nullspace(w: np.ndarray, peak: float, tol: ToleranceProfile) -> bool:
@@ -378,9 +382,8 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     writes at most ``cli.MAX_CERT_DEPTH``).  A matrix whose factorization or
     sums overflow float64 is refused with ``ValueError``.
     """
-    ws = as_matrix(w)
+    ws, peak = _matrix(w)
     tol = tol or DEFAULT_TOL
-    peak = float(np.abs(ws).max())
     if peak == 0.0:
         raise ValueError("cannot classify the zero matrix")
     if not _in_rank2_nullspace(ws, peak, tol):
@@ -397,32 +400,36 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
 
 def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> NullspaceCertificate:
     """The certificate of a trusted 2-D float64 array with largest |entry|
-    ``peak``.  Each pass reads one level, or turns the matrix (a ``w.T``
-    view) to divide by the larger corner; ``_nest`` applies the turns."""
+    ``peak``.  Each pass reads one level, or turns the matrix (a C-ordered
+    copy of ``w.T``) to divide by the larger corner; ``_nest`` applies the
+    turns.  The loop owns ``w``, always C-ordered, and edits it in place."""
     levels, turns, thresh = [], 0, tol._at(peak)
+    w = w.copy()
     while True:
         m, n = w.shape
         # Any two-row element is the bordered product with rows (0, v), (-v, 0).
         if m == 2:
-            return _nest(levels, (np.ones(1), w[0, 1:].copy()), turns)
-        if n == 2 or abs(w[0, n - 1]) > abs(w[m - 1, 0]):
-            w, turns = w.T, turns + 1
+            return _nest(levels, (np.array([1.0]), w[0, 1:].copy()), turns)
+        corner = w.item(m - 1, 0)
+        if n == 2 or abs(w.item(0, n - 1)) > abs(corner):
+            w, turns = w.T.copy(), turns + 1
             continue
-        if abs(w[m - 1, 0]) <= thresh:  # the larger corner, so both vanish
+        if abs(corner) <= thresh:  # the larger corner, so both vanish
             return _nest(levels, None, turns)
         # W = E_TR(u1 v1^T) + E_BL(u2 v2^T).  Only the bottom-left block
         # reaches the first column and the last row, so it is read off directly.
         u2 = w[1:, 0].copy()
-        v2 = w[m - 1, : n - 1] / w[m - 1, 0]
+        v2 = w[m - 1, : n - 1] / corner
         # The top-right window minus the bottom-left block's overlap is
         # u1 v1^T; factor it at its largest entry.
-        block = w[: m - 1, 1:].copy()
+        block = w[: m - 1, 1:]
         block[1:, :-1] -= u2[:-1, None] * v2[1:]
         i, j = divmod(int(np.abs(block).argmax()), n - 1)
-        if abs(block[i, j]) <= thresh:
+        pivot = block.item(i, j)
+        if abs(pivot) <= thresh:
             raise ValueError("top-right block vanishes: matrix is numerically rank one")
         u1 = block[:, j].copy()
-        v1 = block[i] / block[i, j]
+        v1 = block[i] / pivot
         w = u1[:, None] * v1 + u2[:, None] * v2
         peak = float(np.abs(w).max())
         if peak <= thresh:

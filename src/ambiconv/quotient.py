@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, as_signal
+from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, _signal, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -77,11 +77,11 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     empty for odd ``d``.
     Every quotient is verified by reconstruction before inclusion.
     """
-    ws = as_signal(w)
+    ws, peak = _signal(w)
     tol = tol or DEFAULT_TOL
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
-    peak = _usable(ws, tol, "w")
+    _usable(ws, peak, tol, "w")
     elements: list[QuotientElement] = []
     for candidate in _candidates(ws, peak):
         if _reconstructs(ws, peak, tol, candidate):
@@ -95,10 +95,9 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     return elements
 
 
-def _usable(ws: np.ndarray, tol: ToleranceProfile, name: str) -> float:
-    """The largest |entry| of the trusted 1-D float64 array ``ws``, the
-    signal ``name``, once neither endpoint is within tolerance of zero."""
-    peak = max(map(abs, ws.tolist()))
+def _usable(ws: np.ndarray, peak: float, tol: ToleranceProfile, name: str) -> None:
+    """Refuse the trusted 1-D float64 array ``ws``, the signal ``name`` with
+    largest |entry| ``peak``, if an endpoint is within tolerance of zero."""
     accept = tol._at(peak)
     for end in (0, -1):
         if abs(ws[end]) <= accept:
@@ -106,13 +105,12 @@ def _usable(ws: np.ndarray, tol: ToleranceProfile, name: str) -> float:
                 f"endpoint {name}({end % ws.size + 1}) = {ws[end]:.3e} is within {accept:.3e} "
                 "of zero (the border zero patterns are handled by shift_ambiguity instead)"
             )
-    return peak
 
 
 def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndarray]]:
     """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
     real root of a trusted 1-D float64 array, in increasing root order, with
-    ``peak`` as ``_usable`` returned it.  ``_reconstructs`` decides which
+    ``peak`` its largest |entry|.  ``_reconstructs`` decides which
     candidates are factor pairs; mirrors are left to ``quotient_decompose``.
     Quotients are divided and measured as lists of Python floats."""
     candidates = []
@@ -169,9 +167,7 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
     )
     if info:
-        raise RootFindingError(
-            "companion eigenvalue solver failed: Eigenvalues did not converge"
-        )
+        raise RootFindingError("companion eigenvalue solver failed: Eigenvalues did not converge")
     real = zip(wr.tolist(), wi.tolist())
     return sorted(r for r, i in real if abs(i) <= _REAL_BAND * (1.0 + abs(r)))
 

@@ -95,17 +95,13 @@ def run_reference_checks(x1=None, y1=None, x2=None, y2=None) -> list[CheckResult
 
     z3 = convolve(x3, y3)
     z4 = convolve(x4, y4)
-    results.append(
-        _compare("convolve(x3, y3) equals convolve(x4, y4)", z3, z4, ROTATION_CONV_TOL)
-    )
+    results.append(_compare("convolve(x3, y3) equals convolve(x4, y4)", z3, z4, ROTATION_CONV_TOL))
     results.append(
         _compare("convolve(x3, y3) matches the printed values", z3, Z34_PRINTED, PRINTED_TOL)
     )
 
     s3 = hankel_basis(3, 4)[2]
-    want = np.array(
-        [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
-    )
+    want = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     ok = bool(np.array_equal(s3, want))
     results.append(
         CheckResult(

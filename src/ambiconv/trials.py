@@ -124,9 +124,7 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def sample_signal(
-    rng: np.random.Generator, size: int, min_endpoint: float = 0.1
-) -> np.ndarray:
+def sample_signal(rng: np.random.Generator, size: int, min_endpoint: float = 0.1) -> np.ndarray:
     """Entries i.i.d. uniform on [-1, 1]; endpoints resampled until their
     magnitude exceeds ``min_endpoint``."""
     vec = rng.uniform(-1.0, 1.0, size)
@@ -154,9 +152,7 @@ def _record(
     report.rows.append(TrialRow(index, dims, bool(ok), residual, coll, elapsed, label))
 
 
-def attack_suite(
-    n_trials: int, seed: int, tol: ToleranceProfile | None = None
-) -> TrialReport:
+def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) -> TrialReport:
     """Adversarial pairs for random even dimensions in [4, 16]."""
     tol = tol or DEFAULT_TOL
     report = TrialReport(suite="attack", seed=seed)
@@ -181,9 +177,7 @@ def attack_suite(
     return report
 
 
-def quotient_suite(
-    n_trials: int, seed: int, tol: ToleranceProfile | None = None
-) -> TrialReport:
+def quotient_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) -> TrialReport:
     """Random even-d draws plus forward-generated round-trip instances."""
     tol = tol or DEFAULT_TOL
     report = TrialReport(suite="quotient", seed=seed)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written with plain Python loops (and exact
 Fraction arithmetic where rank is concerned) so that no code path is shared
-with the package implementations being tested.  The three exceptions are
+with the package implementations being tested.  The four exceptions are
 bit-for-bit references that import nothing from the package: the
-``bincount`` lift, the recursive corner-factorization classifier and the
-array-based quotient candidate builder, which the package's skewed column
-sum, flat classifier and list-based candidate builder must reproduce exactly.
+``bincount`` lift, the recursive corner-factorization classifier, the
+array recurrence of the factor-swap generator and the array-based quotient
+candidate builder, which the package's skewed column sum, flat classifier,
+generator and list-based candidate builder must reproduce exactly.
 """
 
 import dataclasses
@@ -127,6 +128,29 @@ def certificate_matrix(cert):
     y[:-1, 1:] = a
     y[1:, :-1] += b
     return y
+
+
+def n2_generate_reference(m, n, seed):
+    """(matrix, certificate) of ``n2_generate(m, n, seed)`` from the plain
+    array recurrence: p and q drawn as one (2, min(m, n)) array, then b, and
+    every coefficient read as a numpy scalar.  An ``m > n`` element is the
+    ``(n, m)`` one transposed."""
+    rng = np.random.default_rng(seed)
+    p, q = rng.uniform(-1.0, 1.0, (2, min(m, n)))
+    b = rng.uniform(-1.0, 1.0, abs(n - m) + 1)
+    p[0], p[-1], q[0], q[-1] = 1.0, 0.0, 0.0, 1.0
+    levels = []
+    while p.size > 1:
+        c = q[-1] * p[0] - q[0] * p[-1]
+        p, q = (q[0] * p - p[0] * q)[1:] / c, (q[-1] * p - p[-1] * q)[:-1]
+        levels.append({"u1": -q, "u2": p, "v1": np.convolve(b, p), "v2": np.convolve(b, q)})
+    bottom = levels.pop()
+    cert = {"kind": "n0", "u": bottom["u1"], "v": bottom["v1"]}
+    for level in reversed(levels):
+        cert = {"kind": "n2", **level, "inner": cert}
+    if m > n:
+        cert = transpose_certificate(cert)
+    return certificate_matrix(cert), cert
 
 
 def classify_recursive(w, abs_tol=1e-12, rel_tol=1e-9):

@@ -7,24 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiconv import (
+    AmbiguousPair,
     LiftedConvOp,
     ToleranceProfile,
     antidiagonal_shift,
     as_matrix,
     as_signal,
+    attack,
     bordered_y_form,
+    classify,
     convolve,
     hankel_basis,
+    is_in_rank2_nullspace,
     lift_apply,
     m2_element,
     matrix_from_json,
     matrix_to_json,
+    n2_lift,
     outer,
     rank_estimate,
     reconstruct,
     rotational_family,
     signal_from_json,
     signal_to_json,
+    verify_pair,
 )
 from ambiconv.core import DEFAULT_TOL, _lift, _rank
 from ambiconv.nullspace import n0_element, n2_generate
@@ -49,6 +55,36 @@ SCALAR_PARAMETER_CALLS = {
 }
 
 
+# Nonfinite entries: a NaN in a middle position after a larger finite
+# entry (which Python's max would skip), +inf and -inf.
+NONFINITE_SIGNALS = {
+    "nan-after-larger": [3.0, float("nan"), 1.0, 2.0],
+    "inf": [1.0, 2.0, float("inf"), 1.0],
+    "minus-inf": [1.0, -float("inf"), 2.0, 1.0],
+}
+ONES = np.ones(4)
+
+# One call per public entry that validates a signal, with that signal set to s.
+SIGNAL_ENTRY_CALLS = {
+    "as_signal": as_signal,
+    "n0_element": lambda s: n0_element([1.0, 2.0], s),
+    "outer": lambda s: outer([1.0], s),
+    "convolve": lambda s: convolve(s, [1.0]),
+    "n2_lift": lambda s: n2_lift(ONES, ONES, ONES, s),
+    "attack": lambda s: attack([1.0, 2.0, 3.0, 4.0], s),
+    "verify_pair": lambda s: verify_pair(AmbiguousPair(ONES, ONES, np.array(s), ONES, 0.0, 0.0)),
+}
+
+# The same for a matrix, whose second row is the signal s.
+MATRIX_ENTRY_CALLS = {
+    "as_matrix": as_matrix,
+    "lift_apply": lift_apply,
+    "rank_estimate": rank_estimate,
+    "is_in_rank2_nullspace": is_in_rank2_nullspace,
+    "classify": classify,
+}
+
+
 class TestValidation:
     def test_signal_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -69,6 +105,19 @@ class TestValidation:
             as_matrix([[1.0, float("nan")]])
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", sorted(NONFINITE_SIGNALS))
+    @pytest.mark.parametrize("name", sorted(SIGNAL_ENTRY_CALLS))
+    def test_signal_entry_point_rejects_nonfinite(self, name, bad):
+        with pytest.raises(ValueError, match="^signal entries must be finite$"):
+            SIGNAL_ENTRY_CALLS[name](NONFINITE_SIGNALS[bad])
+
+    @pytest.mark.parametrize("bad", sorted(NONFINITE_SIGNALS))
+    @pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_CALLS))
+    def test_matrix_entry_point_rejects_nonfinite(self, name, bad):
+        w = [[4.0, 0.5, 1.0, 2.0], NONFINITE_SIGNALS[bad]]
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            MATRIX_ENTRY_CALLS[name](w)
 
     def test_signals_are_immutable(self):
         x = as_signal([1.0, 2.0])

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     certificate_json_recursive,
     classify_recursive,
     dataclass_repr,
+    n2_generate_reference,
     operator_matrix,
     transpose_certificate,
 )
@@ -261,6 +263,18 @@ class TestN2Generate:
             assert tall.tobytes() == np.ascontiguousarray(wide.T).tobytes()
             transposed = transpose_certificate(reference_form(wide_cert))
             assert_same_certificate(reference_form(tall_cert), transposed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    def test_matches_array_recurrence_reference(self, seed):
+        # The matrix and every certificate vector, byte for byte, on the
+        # grid, at a deep wide order and at its transpose.
+        cells = [(m, n) for m in range(2, 13) for n in range(2, 13)] + [(40, 43), (43, 40)]
+        for m, n in cells:
+            matrix, cert = n2_generate(m, n, seed)
+            want_matrix, want_cert = n2_generate_reference(m, n, seed)
+            assert matrix.shape == want_matrix.shape
+            assert matrix.tobytes() == want_matrix.tobytes(), (m, n)
+            assert_same_certificate(reference_form(cert), want_cert)
 
     def test_any_order_without_recursion(self):
         # The levels come from one loop: 60 spare frames build 998 levels.
@@ -498,6 +512,10 @@ class TestClassify:
         assert isinstance(result.certificate, N0Certificate)
 
 
+# One n2 level's vectors, without its "inner".
+ONE_LEVEL = {"kind": "n2", "u1": [1.0], "u2": [1.0], "v1": [1.0], "v2": [1.0]}
+
+
 class TestCertificates:
     def test_json_round_trip_nested(self):
         _, cert = n2_generate(5, 6, seed=8)
@@ -589,6 +607,25 @@ class TestCertificates:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             certificate_from_json({"kind": "n7"})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "n0", "u": [1.0]}, "n0 certificate JSON lacks v (needs u, v)"),
+            ({"kind": "n2"}, "n2 certificate JSON lacks u1, u2, v1, v2, inner"),
+            (ONE_LEVEL, "n2 certificate JSON lacks inner (needs u1, u2, v1, v2, inner)"),
+            ({"kind": "m2", "u": [1.0]}, "m2 certificate JSON lacks lambda (needs u, lambda)"),
+            (
+                {**ONE_LEVEL, "inner": {"kind": "m2", "lambda": 2.0}},
+                "m2 certificate JSON lacks u (needs u, lambda)",
+            ),
+        ],
+        ids=["n0", "n2", "n2-inner", "m2", "nested-m2"],
+    )
+    def test_missing_keys_name_the_kind_and_keys(self, obj, message):
+        # A ValueError like signal_from_json's, never a bare KeyError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            certificate_from_json(obj)
 
     def test_raw_has_no_reconstruction(self):
         with pytest.raises(ValueError):
