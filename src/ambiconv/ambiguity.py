@@ -275,17 +275,18 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # when the search reaches it keeps the order of sorting verified ones.
     x_roots = sorted(_candidates(xs, x_peak), key=lambda c: c[0])
     y_roots = sorted(_candidates(ys, y_peak), key=lambda c: c[0])
+    xw, yw = xs.tolist(), ys.tolist()
     y_holds: list[bool | None] = [None] * len(y_roots)  # verdicts, once each
 
     # The first combination under the bound wins.  Two decompositions can
     # share an angle by accident, so until then keep the least-collinear
     # valid combination as a fallback.
     best = None
-    for _, theta, u in (c for c in x_roots if _reconstructs(xs, x_peak, tol, c)):
+    for _, theta, u in (c for c in x_roots if _reconstructs(xw, x_peak, tol, c)):
         for k, (_, phi, v) in enumerate(y_roots):
             degenerate = min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS
             if not degenerate and y_holds[k] is None:
-                y_holds[k] = _reconstructs(ys, y_peak, tol, y_roots[k])
+                y_holds[k] = _reconstructs(yw, y_peak, tol, y_roots[k])
             if degenerate or not y_holds[k]:
                 continue
             x_alt = _bordered(u, phi)
@@ -295,12 +296,12 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
             if best is None or coll < best[0]:
                 best = (coll, x_alt, _bordered(v, theta))
     if best is None:
-        x_count = sum(_reconstructs(xs, x_peak, tol, c) for c in x_roots)
-        y_count = sum(_reconstructs(ys, y_peak, tol, c) for c in y_roots)
+        x_count = sum(_reconstructs(xw, x_peak, tol, c) for c in x_roots)
+        y_count = sum(_reconstructs(yw, y_peak, tol, c) for c in y_roots)
         raise AttackSearchError(
             "no valid angle combination: "
             f"{x_count} real roots of x, {y_count} of y, "
-            f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
+            f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xw}, y={yw}"
         )
     coll, x_alt, y_alt = best
     return _pair(xs, ys, x_alt, y_alt, coll)

@@ -14,7 +14,9 @@ Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
 |entry|) as numpy's ``abs().max()``, which is also the finiteness test,
 ``peak < inf``: numpy's max propagates a NaN from any position, while
-Python's ``max`` skips one that follows a larger entry.
+Python's ``max`` skips one that follows a larger entry.  The copy keeps the
+input's dtype, so complex entries are refused rather than silently dropped
+to their real part; a float64 input pays one dtype check for this.
 """
 
 from __future__ import annotations
@@ -45,11 +47,15 @@ class ToleranceProfile:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def threshold(self, *operands) -> float:
+        """The threshold at the largest |entry| of real, finite operands."""
         scale = 0.0
         for op in operands:
-            arr = np.asarray(op, dtype=float)
+            arr = _real(op, "operand")
             if arr.size:
-                scale = max(scale, float(np.max(np.abs(arr))))
+                peak = float(np.abs(arr).max())
+                if not peak < math.inf:
+                    raise ValueError("operand entries must be finite")
+                scale = max(scale, peak)
         return self._at(scale)
 
     def _at(self, scale: float) -> float:
@@ -67,7 +73,7 @@ def as_signal(x) -> np.ndarray:
 
 def _signal(x) -> tuple[np.ndarray, float]:
     """``as_signal(x)`` and its largest |entry|, from one reduction."""
-    arr = np.array(x, dtype=float, copy=True)
+    arr = _real(x, "signal")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"signal must be 1-D with length >= 1, got shape {arr.shape}")
     return _frozen(arr, "signal")
@@ -88,10 +94,28 @@ def as_matrix(w) -> np.ndarray:
 
 def _matrix(w) -> tuple[np.ndarray, float]:
     """``as_matrix(w)`` and its largest |entry|, from one reduction."""
-    arr = np.array(w, dtype=float, copy=True)
+    arr = _real(w, "matrix")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D with m, n >= 1, got shape {arr.shape}")
     return _frozen(arr, "matrix")
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _real(x, kind: str) -> np.ndarray:
+    """A fresh float64 array of ``x``; ``ValueError`` for complex entries,
+    which a float64 conversion drops with a warning (arrays) or refuses
+    with a bare ``TypeError`` (sequences)."""
+    arr = np.array(x, copy=True)
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind == "c":
+            raise ValueError(f"{kind} entries must be real numbers")
+        try:
+            arr = arr.astype(_FLOAT64)
+        except TypeError:  # an object array holding a complex or non-number
+            raise ValueError(f"{kind} entries must be real numbers") from None
+    return arr
 
 
 def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
@@ -184,12 +208,14 @@ class LiftedConvOp:
         return self.m + self.n - 1
 
     def apply(self, w) -> np.ndarray:
-        ws = as_matrix(w)
+        ws, peak = _matrix(w)
         if ws.shape != (self.m, self.n):
             raise ValueError(
                 f"matrix shape {ws.shape} does not match operator ({self.m}, {self.n})"
             )
-        return lift_apply(ws)
+        out = _checked_lift(ws, peak)
+        out.setflags(write=False)
+        return out
 
     def basis(self) -> list[np.ndarray]:
         return hankel_basis(self.m, self.n)

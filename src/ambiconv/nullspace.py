@@ -25,6 +25,7 @@ O(mn) memory; only the CLI bounds the nesting it writes (``MAX_CERT_DEPTH``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -155,12 +156,25 @@ def certificate_from_json(obj) -> NullspaceCertificate:
             raise ValueError(f"{kind} certificate JSON lacks {', '.join(missing)} (needs {keys})")
         if kind != "n2":
             break
-        levels.append({f: as_signal(obj[f]) for f in _N2_VECTORS})
+        vectors = {f: as_signal(obj[f]) for f in _N2_VECTORS}
+        for a, b in (("u1", "u2"), ("v1", "v2")):
+            if vectors[a].size != vectors[b].size:
+                raise ValueError(
+                    f"certificate level {len(levels) + 1} (n2): {a} has {vectors[a].size} "
+                    f"entries but {b} has {vectors[b].size}"
+                )
+        levels.append(vectors)
         obj = obj["inner"]
     if kind == "n0":
         cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
     elif kind == "m2":
-        cert = M2Certificate(u=as_signal(obj["u"]), lam=float(obj["lambda"]))
+        lam = float(obj["lambda"])
+        if not (math.isfinite(lam) and lam != 0.0):
+            raise ValueError(
+                f"certificate level {len(levels) + 1} (m2): lambda must be finite and "
+                f"nonzero, got {lam}"
+            )
+        cert = M2Certificate(u=as_signal(obj["u"]), lam=lam)
     else:
         cert = RawCertificate()
     for vectors in reversed(levels):

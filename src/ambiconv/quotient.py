@@ -35,6 +35,12 @@ from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, _signa
 _REAL_BAND = 1e-6
 _ROOT_MERGE = 1e-8
 
+# Companion skeletons are cached up to order 90 (90 * 90 * 8 bytes, under
+# 64 KiB each) and for at most 16 orders, so the cache stays under 1 MiB;
+# larger orders, where dgeev's own cost dwarfs the allocation, build theirs.
+_SKELETON_MAX_ORDER = 90
+_SKELETON_CACHE_SIZE = 16
+
 
 class RootFindingError(RuntimeError):
     """The companion-matrix eigenvalue solver failed to converge."""
@@ -61,9 +67,12 @@ def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
     return out
 
 
-def _bordered(ws: np.ndarray, gamma: float) -> np.ndarray:
-    """The forward map on a trusted 1-D float64 array: one 2-tap convolution."""
-    return np.convolve(ws, (math.cos(gamma), -math.sin(gamma)))
+def _bordered(ws, gamma: float) -> np.ndarray:
+    """The forward map on a trusted 1-D float64 array or list of floats: one
+    2-tap correlation with the reversed taps, bit for bit
+    ``np.convolve(ws, (cos(gamma), -sin(gamma)))`` at every length (each
+    entry is one product or the sum of two), without its argument handling."""
+    return np.correlate(ws, np.array((-math.sin(gamma), math.cos(gamma))), "full")
 
 
 def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientElement]:
@@ -82,10 +91,12 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     _usable(ws, peak, tol, "w")
+    w = ws.tolist()
     elements: list[QuotientElement] = []
     for candidate in _candidates(ws, peak):
-        if _reconstructs(ws, peak, tol, candidate):
-            _, gamma, w_star = candidate
+        if _reconstructs(w, peak, tol, candidate):
+            _, gamma, q = candidate
+            w_star = np.array(q)
             mirror = -w_star
             w_star.flags.writeable = mirror.flags.writeable = False
             elements += (
@@ -107,12 +118,13 @@ def _usable(ws: np.ndarray, peak: float, tol: ToleranceProfile, name: str) -> No
             )
 
 
-def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndarray]]:
+def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, list[float]]]:
     """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
     real root of a trusted 1-D float64 array, in increasing root order, with
     ``peak`` its largest |entry|.  ``_reconstructs`` decides which
     candidates are factor pairs; mirrors are left to ``quotient_decompose``.
-    Quotients are divided and measured as lists of Python floats."""
+    Quotients are divided, measured and kept as lists of Python floats:
+    only the factors a caller uses become arrays."""
     candidates = []
     kept = -math.inf
     w = ws.tolist()
@@ -132,20 +144,27 @@ def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, np.ndar
         # the peak is inf or NaN, and fails this test, for every nonfinite q.
         w_peak = max(map(abs, q))
         if w_peak < math.inf:
-            candidates.append((w_peak, gamma, np.array(q)))
+            candidates.append((w_peak, gamma, q))
     return candidates
 
 
-def _reconstructs(ws: np.ndarray, peak: float, tol: ToleranceProfile, candidate) -> bool:
-    """Whether a candidate of ``_candidates(ws, peak)`` reproduces ``ws``,
-    whose largest |entry| is ``peak``, within tolerance."""
-    w_peak, gamma, w_star = candidate
-    residual = float(np.abs(_bordered(w_star, gamma) - ws).max())
+def _reconstructs(w: list[float], peak: float, tol: ToleranceProfile, candidate) -> bool:
+    """Whether a candidate of ``_candidates(ws, peak)`` reproduces ``w``,
+    ``ws`` as a list, within tolerance."""
+    w_peak, gamma, q = candidate
     # The acceptance scale includes the quotient itself: a genuine factor
     # pair with large dynamic range (gamma near a multiple of pi/2)
     # reconstructs w through cancellation of terms of size max|w_star|, so
     # its float residual floor is eps * max|w_star|.
-    return residual <= tol._at(max(peak, w_peak))
+    return _residual(w, gamma, q) <= tol._at(max(peak, w_peak))
+
+
+def _residual(w: list[float], gamma: float, q: list[float]) -> float:
+    """max|_bordered(q, gamma) - w| on Python floats.  It can differ from the
+    numpy form by the rounding of one fused multiply-add per entry, a few
+    ulps of the scale, far below the tolerances the package uses."""
+    a, b = math.cos(gamma), -math.sin(gamma)
+    return max(abs(a * hi + b * lo - wj) for hi, lo, wj in zip([*q, 0.0], [0.0, *q], w))
 
 
 def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
@@ -160,8 +179,10 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
             "companion eigenvalue solver failed: Array must not contain infs or NaNs"
         )
     n = ws.size - 1
-    comp = np.zeros((n, n), order="F")
-    comp.reshape(-1, order="F")[1 :: n + 1] = 1.0  # the subdiagonal
+    if n <= _SKELETON_MAX_ORDER:
+        comp = _skeleton(n).copy(order="F")
+    else:
+        comp = np.eye(n, k=-1, order="F")  # zeros, ones on the subdiagonal
     comp[0] = ws[-2::-1] / -ws[-1]
     wr, wi, _, _, info = _lapack().dgeev(
         comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
@@ -170,6 +191,15 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
         raise RootFindingError("companion eigenvalue solver failed: Eigenvalues did not converge")
     real = zip(wr.tolist(), wi.tolist())
     return sorted(r for r, i in real if abs(i) <= _REAL_BAND * (1.0 + abs(r)))
+
+
+@functools.lru_cache(maxsize=_SKELETON_CACHE_SIZE)
+def _skeleton(n: int) -> np.ndarray:
+    """The companion skeleton of order n, cached read-only: callers copy it
+    and write the first row of the copy, which ``dgeev`` then overwrites."""
+    comp = np.eye(n, k=-1, order="F")
+    comp.flags.writeable = False
+    return comp
 
 
 @functools.lru_cache(maxsize=None)

@@ -74,10 +74,11 @@ def run_reference_checks(x1=None, y1=None, x2=None, y2=None) -> list[CheckResult
     Overrides exist so a corrupted fixture can be fed in as a negative
     control; the report then names the first failing entry.
     """
-    x1 = X1 if x1 is None else as_signal(x1)
-    y1 = Y1 if y1 is None else as_signal(y1)
-    x2 = X2 if x2 is None else as_signal(x2)
-    y2 = Y2 if y2 is None else as_signal(y2)
+    # convolve and rotational_family validate the overrides, in this order.
+    x1 = X1 if x1 is None else x1
+    y1 = Y1 if y1 is None else y1
+    x2 = X2 if x2 is None else x2
+    y2 = Y2 if y2 is None else y2
     results = [
         _compare("convolve(x1, y1) equals the common output exactly", convolve(x1, y1), Z_COMMON, 0.0),
         _compare("convolve(x2, y2) equals the common output exactly", convolve(x2, y2), Z_COMMON, 0.0),

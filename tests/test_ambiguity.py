@@ -20,9 +20,10 @@ from ambiconv import (
     shift_ambiguity,
     verify_pair,
 )
-from ambiconv.ambiguity import ATTACK_COLLINEARITY_BOUND, DEGENERACY_EPS
+from ambiconv import trials
+from ambiconv.ambiguity import ATTACK_COLLINEARITY_BOUND, COLLINEARITY_MARGIN, DEGENERACY_EPS
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
-from ambiconv.trials import attack_suite, sample_signal, trial_rng
+from ambiconv.trials import ATTACK_RESIDUAL_REL, attack_suite, sample_signal, trial_rng
 from oracles import convolve_brute
 
 
@@ -275,6 +276,40 @@ class TestAttack:
         pair = attack(x, y)
         assert pair.collinearity > ATTACK_COLLINEARITY_BOUND
         assert row.success == verify_pair(pair).certifies_unidentifiability
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_suite_rows_match_the_full_scale_rule(self, seed):
+        # The campaign accepts on the end products x(1) y(1), x(m) y(n)
+        # first; every row must still be the full-scale rule's, recomputed
+        # through the public attack.
+        for row in attack_suite(500, seed).rows:
+            x, y = attack_suite_draw(seed, row.index)
+            pair = attack(x, y)
+            scale = float(np.abs(np.convolve(x, y)).max())
+            ok = (
+                pair.residual <= ATTACK_RESIDUAL_REL * scale
+                and pair.collinearity < 1.0 - COLLINEARITY_MARGIN
+            )
+            assert (row.success, row.residual, row.collinearity) == (
+                ok,
+                pair.residual,
+                pair.collinearity,
+            )
+
+    @pytest.mark.parametrize("above, success", [(False, True), (True, False)])
+    def test_suite_falls_back_to_the_full_scale(self, monkeypatch, above, success):
+        # Residuals at exactly 1e-8 max|x * y| exceed the end-product bound
+        # wherever an interior entry is the largest, and must still pass;
+        # one ulp above must fail everywhere.
+        def attack_at_bound(x, y, tol):
+            residual = ATTACK_RESIDUAL_REL * float(np.abs(np.convolve(x, y)).max())
+            if above:
+                residual = math.nextafter(residual, math.inf)
+            return AmbiguousPair(x, y, x, y, residual, 0.5)
+
+        monkeypatch.setattr(trials, "attack", attack_at_bound)
+        rows = attack_suite(200, 1).rows
+        assert [row.success for row in rows] == [success] * 200
 
     def test_degenerate_cos_phi_is_skipped(self):
         # y has the root 1e-7, so its angle phi has |cos(phi)| = 1e-7.  That

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +86,42 @@ MATRIX_ENTRY_CALLS = {
 }
 
 
+# Complex entries in both forms: a complex array, which a float64 cast would
+# drop to its real part with only a warning, and a list holding one complex
+# entry, which float() refuses with a bare TypeError.
+COMPLEX_SIGNALS = {
+    "complex-array": np.array([1 + 5j, 2.0, 3.0, 4.0]),
+    "complex-entry": [1.0, 2.0, 3 + 0j, 4.0],
+}
+COMPLEX_ENTRY_CALLS = {
+    "as_signal": lambda s: as_signal(s),
+    "as_matrix": lambda s: as_matrix([np.ones(4), s]),
+    "convolve": lambda s: convolve([1.0, 1.0, 2.0, 1.0], s),
+    "attack": lambda s: attack(s, [1.0, 1.0, 2.0, 1.0]),
+    "classify": lambda s: classify([[4.0, 0.5, 1.0, 2.0], s]),
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("form", sorted(COMPLEX_SIGNALS))
+    @pytest.mark.parametrize("name", sorted(COMPLEX_ENTRY_CALLS))
+    def test_complex_entries_are_refused(self, name, form):
+        kind = "matrix" if name in ("as_matrix", "classify") else "signal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
+                COMPLEX_ENTRY_CALLS[name](COMPLEX_SIGNALS[form])
+
+    def test_object_entries_that_are_not_real_numbers_are_refused(self):
+        with pytest.raises(ValueError, match="^signal entries must be real numbers$"):
+            as_signal(np.array([1.0, 2 + 1j, "x"], dtype=object))
+
+    def test_non_float64_real_inputs_convert_exactly(self):
+        for x in ([1, 2, 3], np.float32([1.5, 2.0]), np.array([1.0, 2.5]).astype(">f8")):
+            got = as_signal(x)
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.tolist() == [float(v) for v in x]
+
     def test_signal_rejects_nan(self):
         with pytest.raises(ValueError):
             as_signal([1.0, float("nan")])
@@ -147,6 +183,12 @@ class TestValidation:
         tol = ToleranceProfile(abs_tol=1e-12, rel_tol=1e-9)
         assert tol.threshold(np.zeros(3)) == 1e-12
         assert tol.threshold([2.0], [-8.0]) == pytest.approx(1e-12 + 8e-9)
+
+    @pytest.mark.parametrize("bad", [[float("nan")], [3.0, float("nan")], [1.0, -float("inf")]])
+    def test_tolerance_threshold_refuses_nonfinite_operands(self, bad):
+        # Python's max skips a NaN, so the threshold read abs_tol before.
+        with pytest.raises(ValueError, match="^operand entries must be finite$"):
+            DEFAULT_TOL.threshold([1.0], bad)
 
 
 class TestConvolve:

@@ -627,6 +627,37 @@ class TestCertificates:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             certificate_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {**ONE_LEVEL, "u2": [1.0, 2.0], "inner": {"kind": "raw"}},
+                "certificate level 1 (n2): u1 has 1 entries but u2 has 2",
+            ),
+            (
+                {**ONE_LEVEL, "inner": {**ONE_LEVEL, "v2": [3.0, 4.0], "inner": {"kind": "raw"}}},
+                "certificate level 2 (n2): v1 has 1 entries but v2 has 2",
+            ),
+            (
+                {"kind": "m2", "u": [1.0], "lambda": float("nan")},
+                "certificate level 1 (m2): lambda must be finite and nonzero, got nan",
+            ),
+            (
+                {**ONE_LEVEL, "inner": {"kind": "m2", "u": [1.0], "lambda": 0.0}},
+                "certificate level 2 (m2): lambda must be finite and nonzero, got 0.0",
+            ),
+            (
+                {"kind": "m2", "u": [1.0], "lambda": -float("inf")},
+                "certificate level 1 (m2): lambda must be finite and nonzero, got -inf",
+            ),
+        ],
+        ids=["n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf"],
+    )
+    def test_certificates_no_matrix_can_have_are_refused_at_load(self, obj, message):
+        # Loading used to succeed; certificate_to_matrix then failed later.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            certificate_from_json(json.loads(json.dumps(obj)))
+
     def test_raw_has_no_reconstruction(self):
         with pytest.raises(ValueError):
             certificate_to_matrix(RawCertificate())

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ambiconv import ToleranceProfile, quotient_decompose, reconstruct
+from ambiconv import DEFAULT_TOL, ToleranceProfile, quotient, quotient_decompose, reconstruct
 from ambiconv.core import as_signal
-from ambiconv.quotient import _candidates
+from ambiconv.quotient import _bordered, _candidates, _real_roots, _reconstructs, _residual
 from ambiconv.trials import sample_signal
 from oracles import convolve_brute, quotient_candidates
 
@@ -214,8 +214,9 @@ class TestDecompose:
 
 
 def candidate_bytes(candidates):
-    """Each candidate's peak and angle as float hex, its quotient as bytes."""
-    return [(p.hex(), g.hex(), w.dtype.str, w.tobytes()) for p, g, w in candidates]
+    """Each candidate's peak and angle as float hex, its quotient (a list or
+    an array) as float64 bytes."""
+    return [(p.hex(), g.hex(), np.asarray(w, dtype=float).tobytes()) for p, g, w in candidates]
 
 
 class TestCandidates:
@@ -251,3 +252,78 @@ class TestCandidates:
         got = self.check([10.0 * k, -11.0 * k, k])
         assert [g for _, g, _ in got] == pytest.approx([math.atan2(1.0, 10.0)], rel=1e-12)
         assert self.check([1.7e308, 0.0, 0.0, 0.0, 0.0, -1.7e308]) == []
+
+
+class TestBordered:
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_correlation_is_the_2_tap_convolution_byte_for_byte(self, k):
+        # At and one or two ulps around each multiple of pi/2, where cos or
+        # sin is 0 or tiny, plus a generic angle beside each.
+        rng = np.random.default_rng(k + 10)
+        at = k * math.pi / 2
+        near = [at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf)]
+        near.append(math.nextafter(near[1], math.inf))
+        for gamma in near + [at + rng.uniform(0.1, 1.4)]:
+            taps = (math.cos(gamma), -math.sin(gamma))
+            for d in range(1, 81):
+                ws = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(-200, 200)
+                want = np.convolve(ws, taps).tobytes()
+                assert _bordered(ws, gamma).tobytes() == want, (gamma, d)
+                assert _bordered(ws.tolist(), gamma).tobytes() == want, (gamma, d)
+
+
+class TestReconstructsOnFloats:
+    def test_list_residual_matches_numpy_residual(self):
+        # The residual on Python floats agrees with the array form within a
+        # few ulps of the scale, and every accept/reject decision, at the
+        # default tolerance and at tighter ones, is the array form's.
+        rng = np.random.default_rng(7)
+        tols = [DEFAULT_TOL, ToleranceProfile(0.0, 1e-12), ToleranceProfile(0.0, 1e-14)]
+        checked = 0
+        for d in [*range(2, 65)] * 3:
+            for scale in (1e-120, 1.0, 1e120):
+                ws = sample_signal(rng, d) * scale
+                w, peak = ws.tolist(), float(np.abs(ws).max())
+                for c in _candidates(ws, peak):
+                    w_peak, gamma, q = c
+                    taps = (math.cos(gamma), -math.sin(gamma))
+                    want = float(np.abs(np.convolve(q, taps) - ws).max())
+                    got = _residual(w, gamma, q)
+                    assert abs(got - want) <= 4 * np.finfo(float).eps * max(peak, w_peak)
+                    for tol in tols:
+                        accept = want <= tol._at(max(peak, w_peak))
+                        assert _reconstructs(w, peak, tol, c) == accept
+                    checked += 1
+        assert checked > 1000
+
+
+class TestCompanionSkeletons:
+    def test_alternating_orders_give_the_fresh_matrix_roots(self):
+        # Companion orders 4 -> 64 -> 4 -> 120 -> 64: cached skeletons for
+        # orders up to 90, a fresh one for 120.  Each call must find the
+        # roots of a companion built from scratch, as numpy's roots builds it.
+        dgeev, dgeev_lwork = quotient._lapack().dgeev, quotient._lapack().dgeev_lwork
+        rng = np.random.default_rng(11)
+        for n in (4, 64, 4, 120, 64, 4):
+            ws = sample_signal(rng, n + 1)
+            comp = np.eye(n, k=-1, order="F")
+            comp[0] = -ws[-2::-1] / ws[-1]
+            lwork = int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
+            wr, wi = dgeev(comp, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=1)[:2]
+            real = zip(wr.tolist(), wi.tolist())
+            want = sorted(r for r, i in real if abs(i) <= 1e-6 * (1.0 + abs(r)))
+            assert _real_roots(ws, float(np.abs(ws).max())) == want, n
+
+    def test_cached_skeletons_stay_unwritten(self):
+        for n in (3, 15, 64, 90):
+            _real_roots(sample_signal(np.random.default_rng(n), n + 1), 1.0)
+            skeleton = quotient._skeleton(n)
+            assert not skeleton.flags.writeable and skeleton.flags.f_contiguous
+            assert np.array_equal(skeleton, np.eye(n, k=-1))
+
+    def test_cache_stays_under_its_byte_budget(self):
+        for n in range(1, 40):
+            _real_roots(sample_signal(np.random.default_rng(n), n + 1), 1.0)
+        info = quotient._skeleton.cache_info()
+        assert info.currsize <= 16
+        assert quotient._SKELETON_MAX_ORDER ** 2 * 8 <= 64 * 1024
