@@ -6,9 +6,10 @@ the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
 ``np.convolve`` and one column sum over a skewed copy of the matrix; the
-rank is one LAPACK ``dgeqp3`` call (column-pivoted QR).  scipy's LAPACK
-wrappers are imported by ``_lapack`` at the first LAPACK call, not with the
-package: commands that never reach LAPACK do not pay for ``scipy.linalg``.
+rank is one LAPACK ``dgeqp3`` call (column-pivoted QR), the one routine the
+package takes from scipy because numpy has none.  ``_lapack`` imports
+scipy's wrappers at the first rank, not with the package: commands that
+never need a rank do not pay for ``scipy.linalg``.
 
 Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
@@ -81,10 +82,22 @@ def _signal(x) -> tuple[np.ndarray, float]:
 
 def _finite_scalar(value, name: str) -> float:
     """Validate a scalar parameter as a finite float, naming it on failure."""
-    out = float(value)
+    out = _real_scalar(value, name)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
+
+
+def _real_scalar(value, name: str) -> float:
+    """A scalar parameter as a float, naming it in a ``ValueError`` unless
+    it is one real number: ``float`` alone refuses a complex number or a
+    list with a bare ``TypeError``, and truncates a numpy complex scalar."""
+    try:
+        if isinstance(value, (complex, np.complexfloating)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def as_matrix(w) -> np.ndarray:
@@ -291,9 +304,9 @@ def _qr_workspace(m: int, n: int) -> int:
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK wrappers, imported at the first call: ``scipy.linalg``
-    costs more import time than numpy, and commands that make no LAPACK
-    call never pay for it."""
+    """scipy's LAPACK wrappers, for ``dgeqp3`` only, imported at the first
+    call: ``scipy.linalg`` costs more import time and memory than numpy, and
+    commands that need no rank never pay for it."""
     import scipy.linalg.lapack
 
     return scipy.linalg.lapack

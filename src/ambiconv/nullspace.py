@@ -38,6 +38,7 @@ from .core import (
     _finite_scalar,
     _matrix,
     _rank,
+    _real_scalar,
     _signal,
     as_signal,
 )
@@ -143,6 +144,10 @@ def certificate_to_json(cert: NullspaceCertificate) -> dict:
 
 
 def certificate_from_json(obj) -> NullspaceCertificate:
+    """Load a certificate, refusing, by level, one that no matrix has: an n2
+    level whose paired vectors differ in length or whose inner certificate
+    does not describe a matrix of its blocks' shape, or an m2 bottom with an
+    all-zero ``u`` or a ``lambda`` that is not a finite nonzero real."""
     levels = []
     while True:
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -154,32 +159,46 @@ def certificate_from_json(obj) -> NullspaceCertificate:
         if missing:
             keys = ", ".join(_JSON_KEYS[kind])
             raise ValueError(f"{kind} certificate JSON lacks {', '.join(missing)} (needs {keys})")
+        where = f"certificate level {len(levels) + 1} ({kind})"
         if kind != "n2":
             break
         vectors = {f: as_signal(obj[f]) for f in _N2_VECTORS}
         for a, b in (("u1", "u2"), ("v1", "v2")):
             if vectors[a].size != vectors[b].size:
                 raise ValueError(
-                    f"certificate level {len(levels) + 1} (n2): {a} has {vectors[a].size} "
-                    f"entries but {b} has {vectors[b].size}"
+                    f"{where}: {a} has {vectors[a].size} entries but {b} has {vectors[b].size}"
                 )
+        _fits_blocks(levels, (vectors["u1"].size + 1, vectors["v1"].size + 1), where)
         levels.append(vectors)
         obj = obj["inner"]
     if kind == "n0":
         cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
+        _fits_blocks(levels, (cert.u.size + 1, cert.v.size + 1), where)
     elif kind == "m2":
-        lam = float(obj["lambda"])
+        lam = _real_scalar(obj["lambda"], f"{where}: lambda")
         if not (math.isfinite(lam) and lam != 0.0):
-            raise ValueError(
-                f"certificate level {len(levels) + 1} (m2): lambda must be finite and "
-                f"nonzero, got {lam}"
-            )
+            raise ValueError(f"{where}: lambda must be finite and nonzero, got {lam}")
         cert = M2Certificate(u=as_signal(obj["u"]), lam=lam)
+        if not cert.u.any():
+            raise ValueError(f"{where}: u must be nonzero")
+        _fits_blocks(levels, (cert.u.size + 2,) * 2, where)
     else:
         cert = RawCertificate()
     for vectors in reversed(levels):
         cert = N2Certificate(**vectors, inner=cert)
     return cert
+
+
+def _fits_blocks(levels: list[dict], shape: tuple[int, int], where: str) -> None:
+    """Refuse a certificate level describing an ``shape`` matrix unless that
+    is the shape of the corner blocks of the n2 level above it, if any."""
+    if levels:
+        blocks = (levels[-1]["u1"].size, levels[-1]["v1"].size)
+        if shape != blocks:
+            raise ValueError(
+                f"{where} describes a {shape[0]}x{shape[1]} matrix, but the blocks of "
+                f"level {len(levels)} are {blocks[0]}x{blocks[1]}"
+            )
 
 
 def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:

@@ -9,11 +9,10 @@ with out-of-range ``w_star`` indices read as zero: ``w`` is ``w_star``
 convolved with ``(cos(gamma), -sin(gamma))``, the factorization
 ``W(z) = W*(z) (cos(gamma) - z sin(gamma))`` of generating polynomials.  The
 real roots ``r = cot(gamma)`` of ``W`` are the real eigenvalues of its
-companion matrix, from one direct LAPACK ``dgeev`` call (scipy's wrapper,
-eigenvalues only); each linear factor is divided out by synthetic division
-from the end where the recurrence contracts and checked by reconstruction.
-scipy's wrappers come from ``core._lapack``, which imports them at the first
-LAPACK call, so importing this module does not load ``scipy.linalg``.
+companion matrix, from one LAPACK ``dgeev`` call through numpy's own
+eigenvalue gufunc, so no path through this module loads ``scipy.linalg``;
+each linear factor is divided out by synthetic division from the end where
+the recurrence contracts and checked by reconstruction.
 Each root gives one pair plus, in ``quotient_decompose``, its mirror
 ``(-w_star, gamma + pi)``: at most ``2d-2`` pairs, at least two for even ``d``.
 """
@@ -26,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _lapack, _signal, as_signal
+from numpy.linalg._umath_linalg import eigvals as _eigvals
+
+from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _signal, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -173,41 +174,33 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
     matrix (first row ``-ws(d-1..1) / ws(d)``, ones on the subdiagonal, the
     matrix numpy's ``roots`` builds).  ``peak`` is the largest |entry| of
     ``ws``; ``peak / |ws(d)|`` is the largest companion entry, or at most 1,
-    so a row that would overflow is refused before numpy divides."""
+    so a row that would overflow is refused before numpy divides.  The
+    eigenvalues come from the gufunc behind ``np.linalg.eigvals``; a ``dgeev``
+    failure is its NaN output, or the exception a strict warnings or
+    ``np.seterr`` policy makes of its invalid-value signal."""
     if not math.isfinite(peak / abs(float(ws[-1]))):
         raise RootFindingError(
             "companion eigenvalue solver failed: Array must not contain infs or NaNs"
         )
     n = ws.size - 1
-    if n <= _SKELETON_MAX_ORDER:
-        comp = _skeleton(n).copy(order="F")
-    else:
-        comp = np.eye(n, k=-1, order="F")  # zeros, ones on the subdiagonal
+    comp = _skeleton(n).copy() if n <= _SKELETON_MAX_ORDER else np.eye(n, k=-1)
     comp[0] = ws[-2::-1] / -ws[-1]
-    wr, wi, _, _, info = _lapack().dgeev(
-        comp, compute_vl=0, compute_vr=0, lwork=_workspace(n), overwrite_a=1
-    )
-    if info:
+    try:
+        eig = _eigvals(comp, signature="d->D").tolist()
+    except (FloatingPointError, RuntimeWarning):
+        eig = [math.nan]  # as numpy's own failure output
+    if eig[0] != eig[0]:
         raise RootFindingError("companion eigenvalue solver failed: Eigenvalues did not converge")
-    real = zip(wr.tolist(), wi.tolist())
-    return sorted(r for r, i in real if abs(i) <= _REAL_BAND * (1.0 + abs(r)))
+    return sorted(z.real for z in eig if abs(z.imag) <= _REAL_BAND * (1.0 + abs(z.real)))
 
 
 @functools.lru_cache(maxsize=_SKELETON_CACHE_SIZE)
 def _skeleton(n: int) -> np.ndarray:
     """The companion skeleton of order n, cached read-only: callers copy it
-    and write the first row of the copy, which ``dgeev`` then overwrites."""
-    comp = np.eye(n, k=-1, order="F")
+    and write the first row of the copy."""
+    comp = np.eye(n, k=-1)
     comp.flags.writeable = False
     return comp
-
-
-@functools.lru_cache(maxsize=None)
-def _workspace(n: int) -> int:
-    """LAPACK's optimal ``dgeev`` workspace at order n, the size
-    ``np.linalg.eigvals`` queries.  From n = 75 the Hessenberg QR takes a
-    different path, with different rounding, when given less."""
-    return int(_lapack().dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
 
 def _divide_low(w: list[float], a: float, b: float) -> list[float]:

@@ -166,6 +166,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             SCALAR_PARAMETER_CALLS[name](bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x"],
+        ids=["complex", "imaginary", "complex64", "0d-complex", "list", "array", "str"],
+    )
+    @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
+    def test_non_real_scalar_parameter_rejected_by_name(self, name, bad):
+        # float() alone raised a bare TypeError here, or truncated a numpy
+        # complex scalar to its real part with a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                SCALAR_PARAMETER_CALLS[name](bad)
+
     def test_tolerance_profile_rejects_negative(self):
         with pytest.raises(ValueError):
             ToleranceProfile(abs_tol=-1.0)

@@ -1,4 +1,5 @@
-"""scipy's LAPACK wrappers load at the first LAPACK call, not with the package.
+"""scipy's LAPACK wrappers load at the first pivoted-QR rank, not with the
+package: the attack and quotient paths take their eigenvalues from numpy.
 
 Each check runs in a fresh interpreter, since this test process has imported
 scipy already (``oracles`` does).
@@ -60,20 +61,28 @@ def inputs(tmp_path):
     return {name: str(path) for name, path in paths.items()}
 
 
-def test_lapack_free_commands_leave_scipy_linalg_unloaded(inputs):
+def test_lapack_free_commands_leave_scipy_linalg_unloaded(inputs, tmp_path):
     commands = [
         ["n2", "--m", "32", "--n", "36", "--seed", "3"],
         ["convolve", "--x", inputs["x"], "--y", inputs["y"]],
         ["verify", "--pair", inputs["pair"]],
         ["reproduce-paper"],
+        ["attack", "--x", inputs["x"], "--y", inputs["y"]],
+        ["decompose", "--input", inputs["x"]],
+        ["trials", "--suite", "attack", "--n", "20", "--seed", "1", "--out", str(tmp_path / "a")],
+        ["trials", "--suite", "quotient", "--n", "20", "--seed", "1", "--out", str(tmp_path / "q")],
     ]
-    assert loaded_after(commands) == [(0, False)] * 5
+    assert loaded_after(commands) == [(0, False)] * 9
 
 
-@pytest.mark.parametrize("command", ["attack", "classify"])
-def test_lapack_commands_load_it(inputs, command):
+@pytest.mark.parametrize("command", ["classify", "nullspace"])
+def test_lapack_commands_load_it(inputs, tmp_path, command):
+    # Only the pivoted-QR rank (dgeqp3, which numpy lacks) needs scipy.
     argv = {
-        "attack": ["attack", "--x", inputs["x"], "--y", inputs["y"]],
         "classify": ["classify", "--matrix", inputs["matrix"]],
+        "nullspace": [
+            "trials", "--suite", "nullspace", "--mmax", "4", "--nmax", "4", "--n", "2",
+            "--out", str(tmp_path / "n"),
+        ],  # fmt: skip
     }[command]
     assert loaded_after([argv]) == [(0, False), (0, True)]

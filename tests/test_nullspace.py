@@ -575,13 +575,15 @@ class TestCertificates:
                 cert = cert.inner
 
     def test_deep_certificate_helpers_without_recursion(self):
-        # One loop each: 60 spare frames serve 998 levels (JSON) and 1500 (repr).
-        # The JSON chain is as deep as n2_generate(1001, 1000, 0)'s certificate;
-        # its one-entry vectors spare json.dumps that certificate's 2 million
-        # floats, since the loops are tested by depth, not width.
+        # One loop each: 60 spare frames serve 250 levels (JSON) and 1500 (repr).
+        # Each JSON level's blocks have the shape of the level below, as
+        # certificate_from_json requires, so the vectors grow by one entry
+        # per level: 998 levels, as deep as n2_generate(1001, 1000, 0)'s
+        # certificate, would carry its 2 million floats through json.dumps,
+        # and the loops are tested by depth, not width.
         cert = N0Certificate(u=np.array([0.5]), v=np.array([-1.5]))
-        for k in range(998):
-            a = np.array([k / 7.0])
+        for k in range(2, 252):
+            a = np.full(k, k / 7.0)
             cert = N2Certificate(u1=a, u2=-a, v1=a + 1.0, v2=a - 1.0, inner=cert)
         one = np.ones(1)
         chain = M2Certificate(u=one, lam=2.0)
@@ -650,12 +652,41 @@ class TestCertificates:
                 {"kind": "m2", "u": [1.0], "lambda": -float("inf")},
                 "certificate level 1 (m2): lambda must be finite and nonzero, got -inf",
             ),
+            (
+                {"kind": "m2", "u": [1.0], "lambda": [2.0]},
+                "certificate level 1 (m2): lambda must be a real number, got [2.0]",
+            ),
+            (
+                {"kind": "m2", "u": [0.0, 0.0], "lambda": 2.0},
+                "certificate level 1 (m2): u must be nonzero",
+            ),
+            (
+                {
+                    **ONE_LEVEL,
+                    "v1": [1.0, 2.0],
+                    "v2": [1.0, 2.0],
+                    "inner": {"kind": "n0", "u": [1.0, 2.0, 3.0], "v": [1.0]},
+                },
+                "certificate level 2 (n0) describes a 4x2 matrix, but the blocks of level 1 are 1x2",
+            ),
+            (
+                {**ONE_LEVEL, "inner": {**ONE_LEVEL, "inner": {"kind": "raw"}}},
+                "certificate level 2 (n2) describes a 2x2 matrix, but the blocks of level 1 are 1x1",
+            ),
+            (
+                {**ONE_LEVEL, "inner": {"kind": "m2", "u": [1.0], "lambda": 2.0}},
+                "certificate level 2 (m2) describes a 3x3 matrix, but the blocks of level 1 are 1x1",
+            ),
         ],
-        ids=["n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf"],
+        ids=[
+            *("n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf", "m2-list-lambda"),
+            *("m2-zero-u", "n0-under-n2", "n2-under-n2", "m2-under-n2"),
+        ],
     )
     def test_certificates_no_matrix_can_have_are_refused_at_load(self, obj, message):
-        # Loading used to succeed; certificate_to_matrix then failed later.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        # Loading used to succeed (or raise a bare TypeError); rebuilding
+        # the matrix then failed, or read the top level alone.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             certificate_from_json(json.loads(json.dumps(obj)))
 
     def test_raw_has_no_reconstruction(self):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,17 +169,32 @@ class TestDecompose:
             assert np.array_equal(ea.w_star, eb.w_star) and ea.gamma == eb.gamma
 
     def test_root_finder_failure_is_reported(self, monkeypatch):
-        from ambiconv import quotient
+        # numpy's eigvals gufunc reports a dgeev failure (info > 0) as NaN
+        # output, or as the FloatingPointError that np.seterr(invalid="raise")
+        # makes of its invalid-value signal.
+        def nan_output(a, **_):
+            return np.full(a.shape[0], complex(math.nan, math.nan))
 
-        def no_convergence(a, **_):
-            # LAPACK's dgeev reports info > 0 when the QR iteration fails.
-            n = a.shape[0]
-            return np.zeros(n), np.zeros(n), np.zeros((1, 1)), np.zeros((1, 1)), n
+        def raises(a, **_):
+            raise FloatingPointError("invalid value encountered in eigvals")
 
-        lapack = SimpleNamespace(dgeev=no_convergence, dgeev_lwork=quotient._lapack().dgeev_lwork)
-        monkeypatch.setattr(quotient, "_lapack", lambda: lapack)
-        with pytest.raises(quotient.RootFindingError, match="did not converge"):
-            quotient_decompose([1.0, 0.5, -0.5, 2.0])
+        for fake in (nan_output, raises):
+            monkeypatch.setattr(quotient, "_eigvals", fake)
+            with pytest.raises(quotient.RootFindingError, match="did not converge"):
+                quotient_decompose([1.0, 0.5, -0.5, 2.0])
+
+    def test_root_finder_failure_under_warnings_as_errors(self, monkeypatch):
+        # With RuntimeWarning an error, the invalid-value signal raises it
+        # from the gufunc call instead of returning the NaN output.
+        def warns(a, **_):
+            warnings.warn("invalid value encountered in eigvals", RuntimeWarning, stacklevel=2)
+            return np.full(a.shape[0], complex(math.nan, math.nan))
+
+        monkeypatch.setattr(quotient, "_eigvals", warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(quotient.RootFindingError, match="did not converge"):
+                quotient_decompose([1.0, 0.5, -0.5, 2.0])
 
     @pytest.mark.parametrize("w", [[1e-300, 1e300, 1e-300], [1e-300, 1.0, 1e300, 1e-300]])
     def test_nonfinite_companion_is_root_finding_error(self, w):
@@ -302,24 +316,40 @@ class TestCompanionSkeletons:
         # Companion orders 4 -> 64 -> 4 -> 120 -> 64: cached skeletons for
         # orders up to 90, a fresh one for 120.  Each call must find the
         # roots of a companion built from scratch, as numpy's roots builds it.
-        dgeev, dgeev_lwork = quotient._lapack().dgeev, quotient._lapack().dgeev_lwork
         rng = np.random.default_rng(11)
         for n in (4, 64, 4, 120, 64, 4):
             ws = sample_signal(rng, n + 1)
-            comp = np.eye(n, k=-1, order="F")
+            comp = np.eye(n, k=-1)
             comp[0] = -ws[-2::-1] / ws[-1]
-            lwork = int(dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
-            wr, wi = dgeev(comp, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=1)[:2]
-            real = zip(wr.tolist(), wi.tolist())
-            want = sorted(r for r, i in real if abs(i) <= 1e-6 * (1.0 + abs(r)))
+            eig = np.linalg.eigvals(comp).astype(complex).tolist()
+            want = sorted(z.real for z in eig if abs(z.imag) <= 1e-6 * (1.0 + abs(z.real)))
             assert _real_roots(ws, float(np.abs(ws).max())) == want, n
 
     def test_cached_skeletons_stay_unwritten(self):
         for n in (3, 15, 64, 90):
             _real_roots(sample_signal(np.random.default_rng(n), n + 1), 1.0)
             skeleton = quotient._skeleton(n)
-            assert not skeleton.flags.writeable and skeleton.flags.f_contiguous
+            assert not skeleton.flags.writeable and skeleton.flags.c_contiguous
             assert np.array_equal(skeleton, np.eye(n, k=-1))
+
+    def test_gufunc_matches_public_eigvals_bit_for_bit(self):
+        # quotient calls numpy's private eigvals gufunc directly; a numpy
+        # release that changes it must fail here, not change the results.
+        # Every order to 100 (past dgeev's switch to aggressive early
+        # deflation at 75), then every 12th to 257: all of 1..257 take 7 s.
+        rng = np.random.default_rng(257)
+        for n in [*range(1, 101), *range(101, 258, 12)]:
+            ws = sample_signal(rng, n + 1)
+            comp = np.eye(n, k=-1)
+            comp[0] = ws[-2::-1] / -ws[-1]
+            got = quotient._eigvals(comp, signature="d->D")
+            want = np.linalg.eigvals(comp)
+            assert got.dtype == np.complex128 and got.shape == (n,), n
+            assert got.real.tobytes() == want.real.tobytes(), n
+            if want.dtype == np.complex128:
+                assert got.imag.tobytes() == want.imag.tobytes(), n
+            else:  # all imaginary parts were zero, and the wrapper dropped them
+                assert not got.imag.any(), n
 
     def test_cache_stays_under_its_byte_budget(self):
         for n in range(1, 40):
