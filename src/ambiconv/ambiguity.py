@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _finite_scalar,
+    _real_scalar,
     _signal,
     as_signal,
     signal_from_json,
@@ -51,6 +52,7 @@ ATTACK_COLLINEARITY_BOUND = 1.0 - 1e-6
 class AttackSearchError(RuntimeError):
     """No valid angle combination was found (measure-zero event for generic
     inputs); carries diagnostics for triage."""
+    code = "attack-search-failed"
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class AmbiguousPair:
             y=signal_from_json(obj["y"]),
             x_alt=signal_from_json(obj["x_alt"]),
             y_alt=signal_from_json(obj["y_alt"]),
-            residual=float(obj.get("residual", 0.0)),
-            collinearity=float(obj.get("collinearity", 0.0)),
+            residual=_real_scalar(obj.get("residual", 0.0), 'pair JSON "residual"'),
+            collinearity=_real_scalar(obj.get("collinearity", 0.0), 'pair JSON "collinearity"'),
         )
 
 

@@ -32,6 +32,7 @@ from .ambiguity import (
     verify_pair,
 )
 from .core import (
+    RankError,
     ToleranceProfile,
     convolve,
     hankel_basis,
@@ -401,11 +402,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         _structured_error(exc.code, str(exc), exc.path)
         return EXIT_USAGE
-    except AttackSearchError as exc:
-        _structured_error("attack-search-failed", str(exc))
-        return EXIT_CHECK_FAILED
-    except RootFindingError as exc:
-        _structured_error("root-finding-failed", str(exc))
+    except (AttackSearchError, RootFindingError, RankError) as exc:
+        _structured_error(exc.code, str(exc))  # a numerical failure
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         _structured_error("invalid-input", str(exc))

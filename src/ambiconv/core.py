@@ -6,10 +6,8 @@ the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
 ``np.convolve`` and one column sum over a skewed copy of the matrix; the
-rank is one LAPACK ``dgeqp3`` call (column-pivoted QR), the one routine the
-package takes from scipy because numpy has none.  ``_lapack`` imports
-scipy's wrappers at the first rank, not with the package: commands that
-never need a rank do not pay for ``scipy.linalg``.
+rank counts singular values from one LAPACK ``dgesdd`` call through numpy's
+own SVD gufunc, so no path through the package loads scipy.
 
 Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
@@ -22,11 +20,11 @@ to their real part; a float64 input pays one dtype check for this.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd as _svd
 
 
 @dataclass(frozen=True)
@@ -272,44 +270,30 @@ def antidiagonal_shift(wp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
-    """Numerical rank: one LAPACK ``dgeqp3`` (pivoted QR), optimal workspace.
-
-    Counts pivots of the triangular factor whose magnitude exceeds the
-    tol-scaled threshold; exact on modest integer-valued matrices.
-    """
+    """Numerical rank: the singular values (one LAPACK ``dgesdd``, which scales
+    a matrix near float64's limit itself) above the tol-scaled threshold;
+    exact on modest integer-valued matrices.  ``RankError`` if it fails."""
     ws, peak = _matrix(w)
-    return _rank(ws, (tol or DEFAULT_TOL)._at(peak), peak)
+    return _rank(ws, (tol or DEFAULT_TOL)._at(peak))
 
 
-def _rank(w: np.ndarray, thresh: float, peak: float) -> int:
-    """``rank_estimate`` of a trusted 2-D float64 array, given its threshold
-    and largest |entry|.  Where 2 sqrt(m) peaks, the bound on a Householder
-    divisor, overflow, both are first scaled by the power of two of the peak
-    (exact above the subnormal range, far below any ``rel_tol > 0`` threshold)."""
-    if peak == 0.0:
-        return 0
-    if not peak * (2.0 * math.sqrt(w.shape[0])) < math.inf:
-        e = math.frexp(peak)[1]
-        w, thresh = np.ldexp(w, -e), math.ldexp(thresh, -e)
-    r = _lapack().dgeqp3(w, lwork=_qr_workspace(*w.shape))[0]
-    return sum(abs(d) > thresh for d in r.diagonal().tolist())
+class RankError(RuntimeError):
+    """The singular value solver behind the numerical rank failed to converge."""
+    code = "rank-failed"
 
 
-@functools.lru_cache(maxsize=None)
-def _qr_workspace(m: int, n: int) -> int:
-    """LAPACK's optimal ``dgeqp3`` workspace, which ``scipy.linalg.qr`` queries
-    per call; from min(m, n) = 129 less takes a path that rounds differently."""
-    return int(_lapack().dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
-
-
-@functools.cache
-def _lapack():
-    """scipy's LAPACK wrappers, for ``dgeqp3`` only, imported at the first
-    call: ``scipy.linalg`` costs more import time and memory than numpy, and
-    commands that need no rank never pay for it."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack
+def _rank(w: np.ndarray, thresh: float) -> int:
+    """``rank_estimate`` of a trusted 2-D float64 array, given its threshold,
+    from the gufunc behind ``np.linalg.svd(w, compute_uv=False)``.  A failure
+    is its NaN output, which would compare as a low rank, or the exception a
+    strict warnings or ``np.seterr`` policy makes of its invalid-value signal."""
+    try:
+        sv = _svd(w, signature="d->d").tolist()
+    except (FloatingPointError, RuntimeWarning):
+        sv = [math.nan]  # as numpy's own failure output
+    if sv[0] != sv[0]:
+        raise RankError("singular value solver failed: SVD did not converge")
+    return sum(s > thresh for s in sv)
 
 
 # --- JSON wire formats -----------------------------------------------------
@@ -323,11 +307,21 @@ def signal_to_json(x) -> dict:
     return {"len": int(xs.size), "entries": [float(v) for v in xs]}
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON object, read exactly (``4.0`` passes): ``int``
+    would read ``4.5`` or ``True`` and refuse ``[4]`` with a bare ``TypeError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def signal_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj or "len" not in obj:
         raise ValueError('signal JSON must be {"len": d, "entries": [...]}')
     x = as_signal(obj["entries"])
-    if int(obj["len"]) != x.size:
+    if _json_int(obj["len"], 'signal JSON "len"') != x.size:
         raise ValueError(f'signal JSON "len" {obj["len"]} != entry count {x.size}')
     return x
 
@@ -345,6 +339,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('matrix JSON must be {"m": m, "n": n, "entries": [[...], ...]}')
     w = as_matrix(obj["entries"])
-    if (int(obj["m"]), int(obj["n"])) != w.shape:
+    if (_json_int(obj["m"], 'matrix JSON "m"'), _json_int(obj["n"], 'matrix JSON "n"')) != w.shape:
         raise ValueError(f'matrix JSON dims ({obj["m"]}, {obj["n"]}) != entry shape {w.shape}')
     return w

@@ -394,7 +394,7 @@ def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
 def _in_rank2_nullspace(w: np.ndarray, peak: float, tol: ToleranceProfile) -> bool:
     """``is_in_rank2_nullspace`` on a trusted 2-D float64 array with largest |entry| ``peak``."""
     thresh = tol._at(peak)
-    return float(np.abs(_checked_lift(w, peak)).max()) <= thresh and _rank(w, thresh, peak) <= 2
+    return float(np.abs(_checked_lift(w, peak)).max()) <= thresh and _rank(w, thresh) <= 2
 
 
 # --- structural classifier ---------------------------------------------------

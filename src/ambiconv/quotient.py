@@ -45,6 +45,7 @@ _SKELETON_CACHE_SIZE = 16
 
 class RootFindingError(RuntimeError):
     """The companion-matrix eigenvalue solver failed to converge."""
+    code = "root-finding-failed"
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,7 @@ def nullspace_suite(
                 scale = float(np.max(np.abs(q)))
                 residual = float(np.max(np.abs(_lift(q))))
                 ok = residual <= CONSTRUCTOR_LIFT_REL * scale
-                ok = ok and _rank(q, tol._at(scale), scale) <= 2
+                ok = ok and _rank(q, tol._at(scale)) <= 2
                 return ok, residual, None
 
             dump = {"constructor": label, "m": m, "n": n, "draw": k}

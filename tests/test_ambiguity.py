@@ -432,6 +432,13 @@ class TestVerifyPair:
         assert np.array_equal(back.x_alt, pair.x_alt)
         assert back.residual == pair.residual
 
+    @pytest.mark.parametrize("value", [[0.0], None, {}, "zero"], ids=repr)
+    @pytest.mark.parametrize("field", ["residual", "collinearity"])
+    def test_json_scalar_fields_must_be_real_numbers(self, field, value):
+        obj = {**shift_ambiguity([1.0, 0.0], [0.0, 2.0]).to_json(), field: value}
+        with pytest.raises(ValueError, match=f'pair JSON "{field}" must be a real number'):
+            AmbiguousPair.from_json(obj)
+
 
 class TestCollinearity:
     def test_parallel_vectors(self):

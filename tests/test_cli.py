@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ambiconv
-from ambiconv import AmbiguousPair, cli, trials
+from ambiconv import AmbiguousPair, cli, core, n2_generate, trials
 from ambiconv.cli import MAX_CERT_DEPTH, _cert_json, main
 from ambiconv.core import matrix_to_json, signal_to_json
 from ambiconv.nullspace import N0Certificate, N2Certificate
@@ -475,6 +475,42 @@ class TestErrorPaths:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"]["code"] == "root-finding-failed"
+
+    def test_rank_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A NaN from the SVD gufunc is a solver failure, not a low rank.
+        monkeypatch.setattr(core, "_svd", lambda a, **_: np.full(min(a.shape), np.nan))
+        w = write_matrix(tmp_path / "w.json", n2_generate(5, 7, 1)[0])
+        code, out, err = run(capsys, ["classify", "--matrix", w])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "rank-failed"
+
+    @pytest.mark.parametrize(
+        "command, field, value, code",
+        [
+            ("convolve", "len", [4], "bad-signal"),
+            ("convolve", "len", 4.5, "bad-signal"),
+            ("classify", "m", 2.5, "bad-matrix"),
+            ("classify", "n", True, "bad-matrix"),
+            ("verify", "residual", [0.0], "bad-pair"),
+            ("verify", "collinearity", None, "bad-pair"),
+        ],
+    )
+    def test_mistyped_json_field_is_usage_error(
+        self, tmp_path, capsys, command, field, value, code
+    ):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        obj, option = {
+            "convolve": (signal_to_json(x), "--x"),
+            "classify": (matrix_to_json(n2_generate(2, 3, 1)[0]), "--matrix"),
+            "verify": (AmbiguousPair(x, x, x, x, 0.0, 0.0).to_json(), "--pair"),
+        }[command]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({**obj, field: value}))
+        argv = [command, option, str(path)] + (["--y", str(path)] if command == "convolve" else [])
+        exit_code, out, err = run(capsys, argv)
+        assert (exit_code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == code and f'"{field}"' in error["message"]
 
     def test_closed_output_pipe_exits_without_traceback(self):
         path = [str(Path(ambiconv.__file__).parent.parent), os.environ.get("PYTHONPATH")]

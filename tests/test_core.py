@@ -33,7 +33,8 @@ from ambiconv import (
     signal_to_json,
     verify_pair,
 )
-from ambiconv.core import DEFAULT_TOL, _lift, _rank
+from ambiconv import core
+from ambiconv.core import DEFAULT_TOL, RankError, _lift, _rank
 from ambiconv.nullspace import n0_element, n2_generate
 from oracles import antidiagonal_sums_brute, convolve_brute, lift_bincount, rank_fraction
 
@@ -379,11 +380,10 @@ class TestOuterAndRank:
             q = n0_element(u, v)
             assert rank_estimate(q) == rank_fraction(q) <= 2
 
-    # scipy.linalg.qr(mode="r", pivoting=True) is the reference: the same
-    # LAPACK dgeqp3 with the optimal workspace it queries on every call.
-    # Past LAPACK's blocked-QR crossover (min(m, n) > 128 with the reference
-    # ilaenv) a smaller workspace takes the unblocked path and rounds
-    # differently, so (136, 140) pins the workspace too.
+    # np.linalg.svd(w, compute_uv=False) is the reference: the same LAPACK
+    # dgesdd behind numpy's public wrapper.  scipy's pivoted QR (dgeqp3) is
+    # an independent check of the count at the default threshold; (136, 140)
+    # lies past LAPACK's blocked crossovers (min(m, n) > 128).
     @pytest.mark.parametrize(
         "shape",
         [(1, 9), (9, 1), (2, 2), (10, 10), (40, 40), (64, 68), (136, 140)],
@@ -398,17 +398,72 @@ class TestOuterAndRank:
             mats.append(a @ rng.integers(-5, 6, (r, n)).astype(float))
         if min(shape) >= 2:
             mats += [n2_generate(m, n, seed)[0] for seed in range(2)]
-        for w in mats:
-            pivots = np.abs(np.diag(scipy.linalg.qr(w, mode="r", pivoting=True)[0]))
-            expected = int(np.count_nonzero(pivots > DEFAULT_TOL.threshold(w)))
-            peak = float(np.abs(w).max())
-            assert _rank(w, DEFAULT_TOL.threshold(w), peak) == rank_estimate(w) == expected
-            # The count at a reference pivot and one ulp below it matches only
-            # if that pivot magnitude agrees bit for bit; sample 8 of them.
+        # scipy's pivots first: alternating the two libraries' OpenBLAS thread
+        # pools makes each wait for the other's spinning threads.
+        qr_pivots = [np.diag(scipy.linalg.qr(w, mode="r", pivoting=True)[0]) for w in mats]
+        for w, pivots in zip(mats, qr_pivots):
+            sv = np.linalg.svd(w, compute_uv=False)
+            thresh = DEFAULT_TOL.threshold(w)
+            expected = int(np.count_nonzero(sv > thresh))
+            assert _rank(w, thresh) == rank_estimate(w) == expected
+            assert expected == np.count_nonzero(np.abs(pivots) > thresh)
+            # The count at a reference singular value and one ulp below it
+            # matches only if that value agrees bit for bit; sample 8 of them.
             if w.any():
-                for p in pivots[:: max(1, pivots.size // 8)]:
-                    for t in (p, np.nextafter(p, -np.inf)):
-                        assert _rank(w, t, peak) == np.count_nonzero(pivots > t)
+                for s in sv[:: max(1, sv.size // 8)]:
+                    for t in (s, np.nextafter(s, -np.inf)):
+                        assert _rank(w, t) == np.count_nonzero(sv > t)
+
+    def test_rank2_verdict_matches_pivoted_qr(self):
+        # scipy's dgeqp3 as an independent reference for the membership
+        # test's rank <= 2 decision, on every kernel family and on generic
+        # rank-3 products, over the 2..10 grid.
+        rng = np.random.default_rng(21)
+        for m in range(2, 11):
+            for n in range(2, 11):
+                for _ in range(20):
+                    mats = [
+                        n0_element(rng.standard_normal(m - 1), rng.standard_normal(n - 1)),
+                        n2_generate(m, n, int(rng.integers(2**32)))[0],
+                        rng.standard_normal((m, 3)) @ rng.standard_normal((3, n)),
+                    ]
+                    if m == n >= 3:
+                        mats.append(m2_element(rng.standard_normal(n - 2), rng.uniform(0.5, 2)))
+                    for w in mats:
+                        thresh = DEFAULT_TOL.threshold(w)
+                        pivots = np.diag(scipy.linalg.qr(w, mode="r", pivoting=True)[0])
+                        want = np.count_nonzero(np.abs(pivots) > thresh) <= 2
+                        assert (_rank(w, thresh) <= 2) == want, (m, n)
+
+    # numpy's SVD gufunc reports a dgesdd failure (info > 0) as NaN output,
+    # or as the FloatingPointError that np.seterr(invalid="raise") makes of
+    # its invalid-value signal; a NaN must not read as a low rank.
+    def test_svd_failure_is_reported(self, monkeypatch):
+        def nan_output(a, **_):
+            return np.full(min(a.shape), np.nan)
+
+        def raises(a, **_):
+            raise FloatingPointError("invalid value encountered in svd")
+
+        w = n2_generate(5, 7, 1)[0]
+        for fake in (nan_output, raises):
+            monkeypatch.setattr(core, "_svd", fake)
+            for check in (rank_estimate, is_in_rank2_nullspace, classify):
+                with pytest.raises(RankError, match="did not converge"):
+                    check(w)
+
+    def test_svd_failure_under_warnings_as_errors(self, monkeypatch):
+        # With RuntimeWarning an error, the invalid-value signal raises it
+        # from the gufunc call instead of returning the NaN output.
+        def warns(a, **_):
+            warnings.warn("invalid value encountered in svd", RuntimeWarning, stacklevel=2)
+            return np.full(min(a.shape), np.nan)
+
+        monkeypatch.setattr(core, "_svd", warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankError, match="did not converge"):
+                rank_estimate(np.eye(3))
 
     def test_rank_near_float64_limit(self):
         # Unscaled, dgeqp3's Householder steps overflow here and every
@@ -446,3 +501,21 @@ class TestJson:
             signal_from_json({"entries": [1.0]})
         with pytest.raises(ValueError):
             matrix_from_json({"entries": [[1.0]]})
+
+    # int() would read 1.5 and True as 1 and "1" as 1, and refuse [1] with
+    # a bare TypeError; an integral float such as 1.0 is an exact integer.
+    NOT_INTEGERS = [[1], 1.5, True, "1", None, float("inf"), float("nan")]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_signal_len_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match='signal JSON "len" must be an integer'):
+            signal_from_json({"len": value, "entries": [1.0]})
+        assert signal_from_json({"len": 1.0, "entries": [1.0]}).tolist() == [1.0]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_matrix_dims_must_be_integers(self, field, value):
+        obj = {"m": 1, "n": 1, "entries": [[1.0]]}
+        with pytest.raises(ValueError, match=f'matrix JSON "{field}" must be an integer'):
+            matrix_from_json({**obj, field: value})
+        assert matrix_from_json({**obj, field: 1.0}).tolist() == [[1.0]]

@@ -1,8 +1,8 @@
-"""scipy's LAPACK wrappers load at the first pivoted-QR rank, not with the
-package: the attack and quotient paths take their eigenvalues from numpy.
+"""No command imports scipy: numpy is the package's one numeric backend.
 
-Each check runs in a fresh interpreter, since this test process has imported
-scipy already (``oracles`` does).
+The check runs in a fresh interpreter, since this test process has imported
+scipy already (``oracles`` does), with ``sys.modules["scipy"] = None`` so that
+any import of scipy or of one of its modules raises ``ImportError``.
 """
 
 import json
@@ -12,27 +12,50 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import ambiconv
 from ambiconv import attack, n2_generate
 from ambiconv.core import matrix_to_json, signal_to_json
 
-# Runs each argv through cli.main and reports, after the import and after
-# each command, its exit code and whether scipy.linalg is loaded.
+# Blocks scipy, then runs each argv through cli.main and prints the exit codes.
 CHILD = """
 import contextlib, io, json, sys
-import ambiconv, ambiconv.cli
-seen = [[0, "scipy.linalg" in sys.modules]]
+sys.modules["scipy"] = None
+import ambiconv.cli
+codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = ambiconv.cli.main(argv)
-    seen.append([code, "scipy.linalg" in sys.modules])
-print(json.dumps(seen))
+        codes.append(ambiconv.cli.main(argv))
+print(json.dumps(codes))
 """
 
 
-def loaded_after(commands):
+def test_no_command_imports_scipy(tmp_path):
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-1, 1, (2, 6))
+    files = {
+        "x": signal_to_json(x),
+        "y": signal_to_json(y),
+        "pair": attack(x, y).to_json(),
+        "matrix": matrix_to_json(n2_generate(5, 7, 1)[0]),
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    out = str(tmp_path / "report")
+    commands = [
+        ["n2", "--m", "32", "--n", "36", "--seed", "3"],
+        ["convolve", "--x", paths["x"], "--y", paths["y"]],
+        ["verify", "--pair", paths["pair"]],
+        ["reproduce-paper"],
+        ["attack", "--x", paths["x"], "--y", paths["y"]],
+        ["decompose", "--input", paths["x"]],
+        ["classify", "--matrix", paths["matrix"]],
+        ["trials", "--suite", "attack", "--n", "20", "--seed", "1", "--out", out],
+        ["trials", "--suite", "quotient", "--n", "20", "--seed", "1", "--out", out],
+        ["trials", "--suite", "nullspace", "--mmax", "4", "--nmax", "4", "--n", "2", "--out", out],
+    ]
     path = [str(Path(ambiconv.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
@@ -43,46 +66,4 @@ def loaded_after(commands):
         timeout=120,
         check=True,
     )
-    return [tuple(step) for step in json.loads(done.stdout)]
-
-
-@pytest.fixture
-def inputs(tmp_path):
-    rng = np.random.default_rng(7)
-    x, y = rng.uniform(-1, 1, (2, 6))
-    paths = {}
-    for name, signal in (("x", x), ("y", y)):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(signal_to_json(signal)))
-    paths["pair"] = tmp_path / "pair.json"
-    paths["pair"].write_text(json.dumps(attack(x, y).to_json()))
-    paths["matrix"] = tmp_path / "matrix.json"
-    paths["matrix"].write_text(json.dumps(matrix_to_json(n2_generate(5, 7, 1)[0])))
-    return {name: str(path) for name, path in paths.items()}
-
-
-def test_lapack_free_commands_leave_scipy_linalg_unloaded(inputs, tmp_path):
-    commands = [
-        ["n2", "--m", "32", "--n", "36", "--seed", "3"],
-        ["convolve", "--x", inputs["x"], "--y", inputs["y"]],
-        ["verify", "--pair", inputs["pair"]],
-        ["reproduce-paper"],
-        ["attack", "--x", inputs["x"], "--y", inputs["y"]],
-        ["decompose", "--input", inputs["x"]],
-        ["trials", "--suite", "attack", "--n", "20", "--seed", "1", "--out", str(tmp_path / "a")],
-        ["trials", "--suite", "quotient", "--n", "20", "--seed", "1", "--out", str(tmp_path / "q")],
-    ]
-    assert loaded_after(commands) == [(0, False)] * 9
-
-
-@pytest.mark.parametrize("command", ["classify", "nullspace"])
-def test_lapack_commands_load_it(inputs, tmp_path, command):
-    # Only the pivoted-QR rank (dgeqp3, which numpy lacks) needs scipy.
-    argv = {
-        "classify": ["classify", "--matrix", inputs["matrix"]],
-        "nullspace": [
-            "trials", "--suite", "nullspace", "--mmax", "4", "--nmax", "4", "--n", "2",
-            "--out", str(tmp_path / "n"),
-        ],  # fmt: skip
-    }[command]
-    assert loaded_after([argv]) == [(0, False), (0, True)]
+    assert json.loads(done.stdout) == [0] * len(commands)
