@@ -27,7 +27,9 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _convolve,
     _finite_scalar,
+    _peak,
     _real_scalar,
     _signal,
     as_signal,
@@ -115,12 +117,16 @@ def collinearity(a, b) -> float:
 def _collinearity(av: np.ndarray, bv: np.ndarray, peak_a: float) -> float:
     """``collinearity`` of trusted equal-length arrays, ``peak_a`` being max|av|.
     Each is first scaled by the power of two of its peak (exact in binary
-    floating point), so no dot product under- or overflows."""
-    peak_b = float(np.abs(bv).max())
+    floating point), so no dot product under- or overflows; a peak in
+    [0.5, 1), power 2**0, leaves its array as it is."""
+    peak_b = _peak(bv)
     if peak_a == 0.0 or peak_b == 0.0:
         return 0.0
-    av = np.ldexp(av, -math.frexp(peak_a)[1])
-    bv = np.ldexp(bv, -math.frexp(peak_b)[1])
+    exp_a, exp_b = math.frexp(peak_a)[1], math.frexp(peak_b)[1]
+    if exp_a:
+        av = np.ldexp(av, -exp_a)
+    if exp_b:
+        bv = np.ldexp(bv, -exp_b)
     na, nb = math.sqrt(float(av @ av)), math.sqrt(float(bv @ bv))
     return min(1.0, abs(float(av @ bv)) / (na * nb))
 
@@ -214,12 +220,12 @@ def _outputs(x, y, x_alt, y_alt) -> tuple[float, float, float]:
     (trusted arrays), then the largest |entry| of each.  A pair is refused if
     z, z_alt or their difference overflows; the difference can overflow only
     where the two peaks sum to inf (or NaN), so only there is it watched."""
-    z, z_alt = np.convolve(x, y), np.convolve(x_alt, y_alt)
-    peak, peak_alt = float(np.abs(z).max()), float(np.abs(z_alt).max())
+    z, z_alt = _convolve(x, y), _convolve(x_alt, y_alt)
+    peak, peak_alt = _peak(z), _peak(z_alt)
     if peak + peak_alt < math.inf:
-        return float(np.abs(z - z_alt).max()), peak, peak_alt
+        return _peak(z - z_alt), peak, peak_alt
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.abs(z - z_alt).max())  # nonfinite if z or z_alt is
+        residual = _peak(z - z_alt)  # nonfinite if z or z_alt is
     if residual < math.inf:
         return residual, peak, peak_alt
     raise ValueError("the convolution of the pair overflows float64: rescale the signals")

@@ -5,17 +5,19 @@ of its anti-diagonal sums; on a rank-one matrix ``outer(x, y)`` it reproduces
 the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
-``np.convolve`` and one column sum over a skewed copy of the matrix; the
-rank counts singular values from one LAPACK ``dgesdd`` call through numpy's
-own SVD gufunc, so no path through the package loads scipy.
+the one ``np.correlate`` call ``np.convolve`` makes, and one column sum over
+a skewed copy of the matrix; the rank counts singular values from one LAPACK
+``dgesdd`` call through numpy's own SVD gufunc, so no path through the
+package loads scipy.
 
 Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
-|entry|) as numpy's ``abs().max()``, which is also the finiteness test,
-``peak < inf``: numpy's max propagates a NaN from any position, while
-Python's ``max`` skips one that follows a larger entry.  The copy keeps the
-input's dtype, so complex entries are refused rather than silently dropped
-to their real part; a float64 input pays one dtype check for this.
+|entry|) with ``_peak``, the ufunc reduction behind ``abs().max()``, which
+is also the finiteness test, ``peak < inf``: numpy's maximum propagates a
+NaN from any position, while Python's ``max`` skips one that follows a
+larger entry.  The copy keeps the input's dtype, so complex entries are
+refused rather than silently dropped to their real part; a float64 input
+pays one dtype check for this.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ToleranceProfile:
         for op in operands:
             arr = _real(op, "operand")
             if arr.size:
-                peak = float(np.abs(arr).max())
+                peak = _peak(arr)
                 if not peak < math.inf:
                     raise ValueError("operand entries must be finite")
                 scale = max(scale, peak)
@@ -132,11 +134,17 @@ def _real(x, kind: str) -> np.ndarray:
 def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
     """A fresh operand array, frozen, and its peak; ``ValueError`` unless
     the peak, NaN for any NaN entry, is below inf."""
-    peak = float(np.abs(arr).max())
+    peak = _peak(arr)
     if not peak < math.inf:
         raise ValueError(f"{kind} entries must be finite")
     arr.setflags(write=False)
     return arr, peak
+
+
+def _peak(a: np.ndarray) -> float:
+    """The largest |entry| of a nonempty array, NaN if any entry is NaN: the
+    ufunc reduction behind ``abs(a).max()``, without its Python wrapper."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def convolve(x, y) -> np.ndarray:
@@ -145,12 +153,21 @@ def convolve(x, y) -> np.ndarray:
     Bilinear and commutative; exact on integer-valued inputs (``np.convolve``).
     An output that overflows float64 raises ``ValueError``.
     """
-    out = np.convolve(as_signal(x), as_signal(y))
-    # np.convolve sets no floating-point flag, so the output itself is tested.
+    out = _convolve(as_signal(x), as_signal(y))
+    # A correlation sets no floating-point flag, so the output itself is tested.
     if not np.isfinite(out).all():
         raise ValueError("the convolution overflows float64: rescale x or y")
     out.setflags(write=False)
     return out
+
+
+def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, v)`` of trusted nonempty 1-D float64 arrays, bit for
+    bit: the one correlation it makes, the longer operand first (``a`` when
+    the lengths are equal), without its argument handling."""
+    if v.size > a.size:
+        a, v = v, a
+    return np.correlate(a, v[::-1], "full")
 
 
 def outer(x, y) -> np.ndarray:
@@ -185,10 +202,10 @@ def _lift(w: np.ndarray) -> np.ndarray:
     if m <= n:
         flat = np.zeros(m * (n + m))
         flat.reshape(m, n + m)[:, :n] = w
-        return flat[: m * (n + m - 1)].reshape(m, n + m - 1).sum(axis=0)
+        return np.add.reduce(flat[: m * (n + m - 1)].reshape(m, n + m - 1), axis=0)
     flat = np.zeros(n * (n + m))
     flat[: n * (n + m - 1)].reshape(n, n + m - 1)[:, n - 1 :] = w.T[::-1]
-    return flat.reshape(n, n + m).sum(axis=0)[:-1]
+    return np.add.reduce(flat.reshape(n, n + m), axis=0)[:-1]
 
 
 def _checked_lift(w: np.ndarray, peak: float) -> np.ndarray:
@@ -293,7 +310,7 @@ def _rank(w: np.ndarray, thresh: float) -> int:
         sv = [math.nan]  # as numpy's own failure output
     if sv[0] != sv[0]:
         raise RankError("singular value solver failed: SVD did not converge")
-    return sum(s > thresh for s in sv)
+    return sum(map(thresh.__lt__, sv))
 
 
 # --- JSON wire formats -----------------------------------------------------

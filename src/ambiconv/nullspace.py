@@ -35,8 +35,10 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _checked_lift,
+    _convolve,
     _finite_scalar,
     _matrix,
+    _peak,
     _rank,
     _real_scalar,
     _signal,
@@ -259,13 +261,13 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
         raise ValueError("the corner products u1 v1^T, u2 v2^T overflow float64: rescale them")
     a, b = u1s[:, None] * v1s, u2s[:, None] * v2s
     inner = a + b
-    peak = float(np.abs(inner).max())
-    image = _checked_lift(inner, peak)
+    peak = _peak(inner)
+    image_peak = _peak(_checked_lift(inner, peak))
     bound = tol.rel_tol * peak
-    if np.max(np.abs(image)) > bound:
+    if image_peak > bound:
         raise ValueError(
             "inner residual u1 v1^T + u2 v2^T is not in the lower-dimensional "
-            f"kernel (|image| = {np.max(np.abs(image)):.3e} > {bound:.3e})"
+            f"kernel (|image| = {image_peak:.3e} > {bound:.3e})"
         )
     return _corner_embed(a, b)
 
@@ -328,7 +330,7 @@ def n2_generate(
         p0, p1, q0, q1 = p.item(0), p.item(-1), q.item(0), q.item(-1)
         c = q1 * p0 - q0 * p1
         p, q = (q0 * p - p0 * q)[1:] / c, (q1 * p - p1 * q)[:-1]
-        levels.append((-q, p, np.convolve(b, p), np.convolve(b, q), turns))
+        levels.append((-q, p, _convolve(b, p), _convolve(b, q), turns))
     # One-entry p' and q' make the inner residual p'q'(b - b) vanish.
     u1, _, v1, _, _ = levels.pop()
     cert = _nest(levels, (u1, v1), turns)
@@ -392,9 +394,11 @@ def is_in_rank2_nullspace(w, tol: ToleranceProfile | None = None) -> bool:
 
 
 def _in_rank2_nullspace(w: np.ndarray, peak: float, tol: ToleranceProfile) -> bool:
-    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array with largest |entry| ``peak``."""
+    """``is_in_rank2_nullspace`` on a trusted 2-D float64 array with largest
+    |entry| ``peak``.  A matrix with at most two rows or columns has rank at
+    most two, so its verdict is the anti-diagonal sums' alone, without an SVD."""
     thresh = tol._at(peak)
-    return float(np.abs(_checked_lift(w, peak)).max()) <= thresh and _rank(w, thresh) <= 2
+    return _peak(_checked_lift(w, peak)) <= thresh and (min(w.shape) <= 2 or _rank(w, thresh) <= 2)
 
 
 # --- structural classifier ---------------------------------------------------
@@ -425,7 +429,7 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
         with np.errstate(over="raise", invalid="raise"):
             cert = _classify_cert(ws, tol, peak)
             raw = isinstance(cert, RawCertificate)
-            residual = 0.0 if raw else float(np.abs(ws - certificate_to_matrix(cert)).max())
+            residual = 0.0 if raw else _peak(ws - certificate_to_matrix(cert))
     except FloatingPointError:
         raise ValueError("the corner factorization overflows float64: rescale the matrix") from None
     return ClassifiedElement(matrix=ws, certificate=cert, refactorization_residual=residual)
@@ -433,9 +437,10 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
 
 def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> NullspaceCertificate:
     """The certificate of a trusted 2-D float64 array with largest |entry|
-    ``peak``.  Each pass reads one level, or turns the matrix (a C-ordered
-    copy of ``w.T``) to divide by the larger corner; ``_nest`` applies the
-    turns.  The loop owns ``w``, always C-ordered, and edits it in place."""
+    ``peak``.  Each pass reads one level, or turns the matrix (the view
+    ``w.T``) to divide by the larger corner; ``_nest`` applies the turns.  The
+    loop owns ``w``, a copy or a view of one, and edits it in place; ``argmax``
+    indexes in C order whatever the layout, so the pivots do not depend on it."""
     levels, turns, thresh = [], 0, tol._at(peak)
     w = w.copy()
     while True:
@@ -445,7 +450,7 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> Nullspa
             return _nest(levels, (np.array([1.0]), w[0, 1:].copy()), turns)
         corner = w.item(m - 1, 0)
         if n == 2 or abs(w.item(0, n - 1)) > abs(corner):
-            w, turns = w.T.copy(), turns + 1
+            w, turns = w.T, turns + 1
             continue
         if abs(corner) <= thresh:  # the larger corner, so both vanish
             return _nest(levels, None, turns)
@@ -464,7 +469,7 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> Nullspa
         u1 = block[:, j].copy()
         v1 = block[i] / pivot
         w = u1[:, None] * v1 + u2[:, None] * v2
-        peak = float(np.abs(w).max())
+        peak = _peak(w)
         if peak <= thresh:
             return _nest(levels, (u1, v1), turns)
         levels.append((u1, u2, v1, v2, turns))

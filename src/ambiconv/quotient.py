@@ -113,9 +113,10 @@ def _usable(ws: np.ndarray, peak: float, tol: ToleranceProfile, name: str) -> No
     largest |entry| ``peak``, if an endpoint is within tolerance of zero."""
     accept = tol._at(peak)
     for end in (0, -1):
-        if abs(ws[end]) <= accept:
+        value = ws.item(end)
+        if abs(value) <= accept:
             raise ValueError(
-                f"endpoint {name}({end % ws.size + 1}) = {ws[end]:.3e} is within {accept:.3e} "
+                f"endpoint {name}({end % ws.size + 1}) = {value:.3e} is within {accept:.3e} "
                 "of zero (the border zero patterns are handled by shift_ambiguity instead)"
             )
 
@@ -185,7 +186,7 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
         )
     n = ws.size - 1
     comp = _skeleton(n).copy() if n <= _SKELETON_MAX_ORDER else np.eye(n, k=-1)
-    comp[0] = ws[-2::-1] / -ws[-1]
+    np.divide(ws[-2::-1], -ws[-1], out=comp[0])
     try:
         eig = _eigvals(comp, signature="d->D").tolist()
     except (FloatingPointError, RuntimeWarning):
@@ -206,7 +207,8 @@ def _skeleton(n: int) -> np.ndarray:
 
 def _divide_low(w: list[float], a: float, b: float) -> list[float]:
     """The quotient q of w = conv(q, (a, b)) as a list, solved from the low end."""
-    q = [0.0]
+    q, prev = [], 0.0
     for wj in w[:-1]:
-        q.append((wj - b * q[-1]) / a)
-    return q[1:]
+        prev = (wj - b * prev) / a
+        q.append(prev)
+    return q

@@ -229,6 +229,17 @@ class TestConvolve:
             want = convolve_brute(x, y)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
+    def test_one_call_form_is_np_convolve_bit_for_bit(self):
+        # core._convolve, behind convolve, n2_generate and the pair outputs,
+        # must keep np.convolve's operand order: an equal-length pair
+        # correlated the other way round sums in another order.
+        rng = np.random.default_rng(40)
+        for la in range(1, 41):
+            for lv in range(1, 41):
+                a, v = rng.standard_normal(la), rng.standard_normal(lv)
+                for x, y in ((a, v), (v, a)):
+                    assert core._convolve(x, y).tobytes() == np.convolve(x, y).tobytes(), (la, lv)
+
     def test_overflowing_output_is_refused(self):
         # Finite inputs whose output overflows: a refusal, never inf or NaN.
         for x, y in (([1e200, 1.0], [1e200, 2.0]), ([1e200, 1e200], [1e200, -1e200])):

@@ -27,6 +27,7 @@ from ambiconv import (
     outer,
     rank_estimate,
 )
+from ambiconv import core
 from oracles import (
     antidiagonal_sums_brute,
     certificate_json_recursive,
@@ -367,6 +368,33 @@ class TestMembership:
         if rank_estimate(q) > 2:
             assert not is_in_rank2_nullspace(q)
 
+    def test_shape_gate_agrees_with_the_rank(self, monkeypatch):
+        # With at most two rows or columns the rank is at most two, so the
+        # verdict, also classify's gate, is the anti-diagonal sums' alone.
+        rng = np.random.default_rng(23)
+        cases = []
+        for k in range(1, 11):
+            for shape in ((1, k), (k, 1), (2, k), (k, 2)):
+                cases += [rng.standard_normal(shape), 1e-13 * rng.standard_normal(shape)]
+                if min(shape) == 2 and k >= 2:
+                    u, v = rng.standard_normal(shape[0] - 1), rng.standard_normal(shape[1] - 1)
+                    cases += [n0_element(u, v), n2_generate(*shape, int(rng.integers(2**32)))[0]]
+        wants = []
+        for w in cases:
+            thresh = core.DEFAULT_TOL.threshold(w)
+            want = np.max(np.abs(lift_apply(w))) <= thresh and core._rank(w, thresh) <= 2
+            wants.append(want)
+        assert 0 < sum(wants) < len(wants)
+
+        def no_svd(a, **_):
+            raise AssertionError(f"SVD of a {a.shape} matrix")
+
+        monkeypatch.setattr(core, "_svd", no_svd)
+        for w, want in zip(cases, wants):
+            assert is_in_rank2_nullspace(w) == want, w.shape
+            if want and w.any() and min(w.shape) == 2:
+                assert classify(w).certificate.kind == "n0", w.shape
+
     def test_element_near_float64_limit_is_member(self):
         # A 9x4 bordered product peaking at 1e308: its rank was read as 4
         # when dgeqp3 overflowed, so it was reported outside the kernel.
@@ -479,6 +507,21 @@ class TestClassify:
                     want, residual = classify_recursive(q)
                     assert_same_certificate(reference_form(result.certificate), want)
                     assert repr(result.refactorization_residual) == repr(residual)
+
+    def test_certificate_does_not_depend_on_memory_layout(self):
+        # Turns are views of the loop's own copy, and argmax indexes in C
+        # order whatever the layout, so every pivot is the same.  (8, 6)
+        # at seed 0 turns on its first pass: top-right corner the larger.
+        w = n2_generate(8, 6, 0)[0]
+        assert abs(w[0, -1]) > abs(w[-1, 0])
+        n0 = random_n0(np.random.default_rng(9), 5, 7)[0]
+        for q in (w, n2_generate(6, 8, 0)[0], n2_generate(9, 9, 4)[0], n0):
+            want = classify(np.ascontiguousarray(q))
+            got = classify(np.asfortranarray(q))
+            assert json.dumps(certificate_to_json(got.certificate)) == json.dumps(
+                certificate_to_json(want.certificate)
+            )
+            assert repr(got.refactorization_residual) == repr(want.refactorization_residual)
 
     def test_deep_element_classifies_without_recursion(self):
         q = n2_generate(150, 151, 0)[0]
