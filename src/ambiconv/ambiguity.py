@@ -36,7 +36,7 @@ from .core import (
     signal_from_json,
     signal_to_json,
 )
-from .quotient import _bordered, _candidates, _reconstructs, _usable
+from .quotient import _bordered, _candidates, _usable
 
 # Angle combinations closer than this to the degenerate set (cos(phi) = 0 or
 # phi = theta mod pi) are skipped during the attack's candidate search.
@@ -263,10 +263,9 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     ``ATTACK_COLLINEARITY_BOUND``, a search preference only, wins; when every
     valid combination lies above it (one real root in each signal, or
     clustered roots), the least-collinear one is returned instead.
-    Certification is ``verify_pair``'s rule either way.  Each factor is
-    verified by reconstruction, as in ``quotient_decompose``, when the search
-    reaches it: the result is the one the full decompositions would give,
-    without checking the factors after the winning combination.  A pair whose
+    Certification is ``verify_pair``'s rule either way.  The factors are
+    those of ``quotient_decompose``, each kept by its division remainder, so
+    the result is the one the full decompositions give.  A pair whose
     convolution overflows is refused with ``ValueError``.
     """
     (xs, x_peak), (ys, y_peak) = _signal(x), _signal(y)
@@ -279,23 +278,16 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
-    # The sorts are stable, so checking each factor by reconstruction only
-    # when the search reaches it keeps the order of sorting verified ones.
-    x_roots = sorted(_candidates(xs, x_peak), key=lambda c: c[0])
-    y_roots = sorted(_candidates(ys, y_peak), key=lambda c: c[0])
-    xw, yw = xs.tolist(), ys.tolist()
-    y_holds: list[bool | None] = [None] * len(y_roots)  # verdicts, once each
+    x_roots = sorted(_candidates(xs, x_peak, tol), key=lambda c: c[0])
+    y_roots = sorted(_candidates(ys, y_peak, tol), key=lambda c: c[0])
 
     # The first combination under the bound wins.  Two decompositions can
     # share an angle by accident, so until then keep the least-collinear
     # valid combination as a fallback.
     best = None
-    for _, theta, u in (c for c in x_roots if _reconstructs(xw, x_peak, tol, c)):
-        for k, (_, phi, v) in enumerate(y_roots):
-            degenerate = min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS
-            if not degenerate and y_holds[k] is None:
-                y_holds[k] = _reconstructs(yw, y_peak, tol, y_roots[k])
-            if degenerate or not y_holds[k]:
+    for _, theta, u in x_roots:
+        for _, phi, v in y_roots:
+            if min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS:
                 continue
             x_alt = _bordered(u, phi)
             coll = _collinearity(xs, x_alt, x_peak)
@@ -304,12 +296,10 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
             if best is None or coll < best[0]:
                 best = (coll, x_alt, _bordered(v, theta))
     if best is None:
-        x_count = sum(_reconstructs(xw, x_peak, tol, c) for c in x_roots)
-        y_count = sum(_reconstructs(yw, y_peak, tol, c) for c in y_roots)
         raise AttackSearchError(
             "no valid angle combination: "
-            f"{x_count} real roots of x, {y_count} of y, "
-            f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xw}, y={yw}"
+            f"{len(x_roots)} real roots of x, {len(y_roots)} of y, "
+            f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
     coll, x_alt, y_alt = best
     return _pair(xs, ys, x_alt, y_alt, coll)

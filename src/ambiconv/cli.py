@@ -98,11 +98,6 @@ def _load_matrix(path: str):
         raise InputError("bad-matrix", str(exc), path) from exc
 
 
-def _tol(args) -> ToleranceProfile:
-    rel = args.tol if getattr(args, "tol", None) is not None else args.tol_rel
-    return ToleranceProfile(abs_tol=args.tol_abs, rel_tol=rel)
-
-
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
     # Refuse before opening --out, so a refused request leaves the file alone.
     if args.format == "csv" and csv_rows is None:
@@ -162,7 +157,7 @@ def _cert_json(cert) -> dict:
 
 
 def _cmd_n2(args) -> int:
-    matrix, cert = n2_generate(args.m, args.n, seed=args.seed, tol=_tol(args))
+    matrix, cert = n2_generate(args.m, args.n, seed=args.seed, tol=args.tol)
     _emit({"certificate": _cert_json(cert), "matrix": matrix_to_json(matrix)}, args)
     return EXIT_OK
 
@@ -183,7 +178,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_decompose(args) -> int:
     w = _load_signal(args.input)
-    elements = quotient_decompose(w, _tol(args))
+    elements = quotient_decompose(w, args.tol)
     payload, csv_rows = [], []
     for e in elements:
         residual = float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w)))
@@ -196,7 +191,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    result = classify(_load_matrix(args.matrix), _tol(args))
+    result = classify(_load_matrix(args.matrix), args.tol)
     _emit(
         {
             "kind": result.certificate.kind,
@@ -209,7 +204,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    pair = attack(_load_signal(args.x), _load_signal(args.y), _tol(args))
+    pair = attack(_load_signal(args.x), _load_signal(args.y), args.tol)
     _emit(pair.to_json(), args)
     return EXIT_OK
 
@@ -225,7 +220,7 @@ def _cmd_verify(args) -> int:
         pair = AmbiguousPair.from_json(_load_json(args.pair))
     except ValueError as exc:
         raise InputError("bad-pair", str(exc), args.pair) from exc
-    report = verify_pair(pair, _tol(args))
+    report = verify_pair(pair, args.tol)
     _emit(
         report.to_json(),
         args,
@@ -263,7 +258,7 @@ def _cmd_trials(args) -> int:
         seed=args.seed,
         mmax=args.mmax,
         nmax=args.nmax,
-        tol=_tol(args),
+        tol=args.tol,
     )
     if report.trials == 0:
         raise InputError("bad-count", "the campaign runs no trial: raise --mmax or --nmax")
@@ -392,6 +387,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InputError("bad-seed", f"--seed must be >= 0, got {args.seed}")
+        # Every command's tolerance is checked here; handlers read the profile.
+        rel = args.tol_rel if getattr(args, "tol", None) is None else args.tol
+        args.tol = ToleranceProfile(abs_tol=args.tol_abs, rel_tol=rel)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early raises here, not at exit
         return code

@@ -29,6 +29,18 @@ import numpy as np
 from numpy.linalg._umath_linalg import svd as _svd
 
 
+def _real_scalar(value, name: str) -> float:
+    """A scalar parameter as a float, naming it in a ``ValueError`` unless it
+    is one real number: ``float`` alone raises a bare ``TypeError`` on a
+    complex number or a list, truncates a numpy complex one, parses a string."""
+    try:
+        if isinstance(value, (str, bytes, complex, np.complexfloating)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Scale-aware comparison tolerances.
@@ -43,9 +55,10 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol"):
-            value = getattr(self, name)
+            value = _real_scalar(getattr(self, name), name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
     def threshold(self, *operands) -> float:
         """The threshold at the largest |entry| of real, finite operands."""
@@ -86,18 +99,6 @@ def _finite_scalar(value, name: str) -> float:
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
-
-
-def _real_scalar(value, name: str) -> float:
-    """A scalar parameter as a float, naming it in a ``ValueError`` unless
-    it is one real number: ``float`` alone refuses a complex number or a
-    list with a bare ``TypeError``, and truncates a numpy complex scalar."""
-    try:
-        if isinstance(value, (complex, np.complexfloating)):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def as_matrix(w) -> np.ndarray:

@@ -12,7 +12,9 @@ real roots ``r = cot(gamma)`` of ``W`` are the real eigenvalues of its
 companion matrix, from one LAPACK ``dgeev`` call through numpy's own
 eigenvalue gufunc, so no path through this module loads ``scipy.linalg``;
 each linear factor is divided out by synthetic division from the end where
-the recurrence contracts and checked by reconstruction.
+the recurrence contracts.  The division solves every equation of
+``w = w_star * (cos(gamma), -sin(gamma))`` but one, so that one equation's
+remainder is the whole factor test.
 Each root gives one pair plus, in ``quotient_decompose``, its mirror
 ``(-w_star, gamma + pi)``: at most ``2d-2`` pairs, at least two for even ``d``.
 """
@@ -32,7 +34,7 @@ from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _signal, as_sig
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
 # A double root splits into a complex pair up to about 1e-7 off the axis;
-# the band keeps it, and reconstruction decides whether it is a factor.
+# the band keeps it, and the division remainder decides whether it is a factor.
 _REAL_BAND = 1e-6
 _ROOT_MERGE = 1e-8
 
@@ -86,25 +88,23 @@ def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientE
     before its mirror ``(-w_star, gamma + pi)``.  The list has at most
     ``2d-2`` elements; it is nonempty for even ``d`` and may be legitimately
     empty for odd ``d``.
-    Every quotient is verified by reconstruction before inclusion.
+    A quotient is included only when the one equation its division leaves
+    unsolved holds within tolerance.
     """
     ws, peak = _signal(w)
     tol = tol or DEFAULT_TOL
     if ws.size < 2:
         raise ValueError("decomposition needs d >= 2")
     _usable(ws, peak, tol, "w")
-    w = ws.tolist()
     elements: list[QuotientElement] = []
-    for candidate in _candidates(ws, peak):
-        if _reconstructs(w, peak, tol, candidate):
-            _, gamma, q = candidate
-            w_star = np.array(q)
-            mirror = -w_star
-            w_star.flags.writeable = mirror.flags.writeable = False
-            elements += (
-                QuotientElement(w_star=w_star, gamma=gamma),
-                QuotientElement(w_star=mirror, gamma=gamma + math.pi),
-            )
+    for _, gamma, q in _candidates(ws, peak, tol):
+        w_star = np.array(q)
+        mirror = -w_star
+        w_star.flags.writeable = mirror.flags.writeable = False
+        elements += (
+            QuotientElement(w_star=w_star, gamma=gamma),
+            QuotientElement(w_star=mirror, gamma=gamma + math.pi),
+        )
     return elements
 
 
@@ -121,13 +121,16 @@ def _usable(ws: np.ndarray, peak: float, tol: ToleranceProfile, name: str) -> No
             )
 
 
-def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, list[float]]]:
-    """One unverified candidate ``(max|w_star|, gamma, w_star)`` per distinct
-    real root of a trusted 1-D float64 array, in increasing root order, with
-    ``peak`` its largest |entry|.  ``_reconstructs`` decides which
-    candidates are factor pairs; mirrors are left to ``quotient_decompose``.
-    Quotients are divided, measured and kept as lists of Python floats:
-    only the factors a caller uses become arrays."""
+def _candidates(
+    ws: np.ndarray, peak: float, tol: ToleranceProfile
+) -> list[tuple[float, float, list[float]]]:
+    """One factor ``(max|w_star|, gamma, w_star)`` per distinct real root of
+    a trusted 1-D float64 array, in increasing root order, with ``peak`` its
+    largest |entry|.  A root is kept when its quotient is finite and its
+    division remainder is at most ``tol._at(max(peak, max|w_star|))``;
+    mirrors are left to ``quotient_decompose``.  Quotients are divided,
+    measured and kept as lists of Python floats: only the factors a caller
+    uses become arrays."""
     candidates = []
     kept = -math.inf
     w = ws.tolist()
@@ -140,34 +143,19 @@ def _candidates(ws: np.ndarray, peak: float) -> list[tuple[float, float, list[fl
         # Divide from the end where the recurrence contracts: an error grows
         # by |b/a| = 1/|r| per step from the low end and by |r| from the high.
         if abs(r) > 1.0:
-            q = _divide_low(w, a, b)
+            q, remainder = _divide_low(w, a, b)
         else:
-            q = _divide_low(w[::-1], b, a)[::-1]
+            q, remainder = _divide_low(w[::-1], b, a)
+            q.reverse()
         # With finite w, a and b the recurrence meets inf before any NaN, so
         # the peak is inf or NaN, and fails this test, for every nonfinite q.
+        # The scale includes the quotient: a factor of large dynamic range
+        # (gamma near a multiple of pi/2) reproduces w by cancelling terms of
+        # size max|w_star|, so its remainder's float floor is eps max|w_star|.
         w_peak = max(map(abs, q))
-        if w_peak < math.inf:
+        if w_peak < math.inf and abs(remainder) <= tol._at(max(peak, w_peak)):
             candidates.append((w_peak, gamma, q))
     return candidates
-
-
-def _reconstructs(w: list[float], peak: float, tol: ToleranceProfile, candidate) -> bool:
-    """Whether a candidate of ``_candidates(ws, peak)`` reproduces ``w``,
-    ``ws`` as a list, within tolerance."""
-    w_peak, gamma, q = candidate
-    # The acceptance scale includes the quotient itself: a genuine factor
-    # pair with large dynamic range (gamma near a multiple of pi/2)
-    # reconstructs w through cancellation of terms of size max|w_star|, so
-    # its float residual floor is eps * max|w_star|.
-    return _residual(w, gamma, q) <= tol._at(max(peak, w_peak))
-
-
-def _residual(w: list[float], gamma: float, q: list[float]) -> float:
-    """max|_bordered(q, gamma) - w| on Python floats.  It can differ from the
-    numpy form by the rounding of one fused multiply-add per entry, a few
-    ulps of the scale, far below the tolerances the package uses."""
-    a, b = math.cos(gamma), -math.sin(gamma)
-    return max(abs(a * hi + b * lo - wj) for hi, lo, wj in zip([*q, 0.0], [0.0, *q], w))
 
 
 def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
@@ -205,10 +193,12 @@ def _skeleton(n: int) -> np.ndarray:
     return comp
 
 
-def _divide_low(w: list[float], a: float, b: float) -> list[float]:
-    """The quotient q of w = conv(q, (a, b)) as a list, solved from the low end."""
+def _divide_low(w: list[float], a: float, b: float) -> tuple[list[float], float]:
+    """The quotient q of w = conv(q, (a, b)) as a list, solved from the low
+    end, and the remainder ``b q[-1] - w[-1]`` of the one equation left
+    unsolved: every other entry of ``conv(q, (a, b)) - w`` is rounding."""
     q, prev = [], 0.0
     for wj in w[:-1]:
         prev = (wj - b * prev) / a
         q.append(prev)
-    return q
+    return q, b * prev - w[-1]

@@ -215,19 +215,24 @@ class TestAttack:
             assert pair.collinearity <= 1.0 - 1e-6
 
     @pytest.mark.parametrize(
-        "tol, floor",
-        [(DEFAULT_TOL, 190), (ToleranceProfile(0.0, 1e-15), 120)],
-        ids=["default-tol", "tight-tol"],
+        "tol, orders, draws, floor",
+        [
+            (DEFAULT_TOL, range(4, 17, 2), 200, 190),
+            (ToleranceProfile(0.0, 1e-15), range(4, 17, 2), 200, 120),
+            (DEFAULT_TOL, (32, 48, 64), 40, 38),
+            (ToleranceProfile(0.0, 1e-15), (32, 48, 64), 40, 18),
+        ],
+        ids=["default-tol", "tight-tol", "default-tol-orders-32-64", "tight-tol-orders-32-64"],
     )
-    def test_returns_first_combination_under_bound(self, tol, floor):
-        # At the tight tolerance about 30% of the factors fail the
-        # reconstruction check, often the smallest-peak one, so the attack's
-        # lazy verification has to skip them exactly as the full
-        # decomposition drops them.
+    def test_returns_first_combination_under_bound(self, tol, orders, draws, floor):
+        # At the tight tolerance about 30% of the low-order factors fail the
+        # remainder check, often the smallest-peak one, and at orders 32 to
+        # 64 half the draws keep no combination: the attack has to skip
+        # exactly the factors the full decomposition drops.
         rng = np.random.default_rng(5)
         checked = 0
-        for _ in range(200):
-            m, n = rng.choice(np.arange(4, 17, 2), size=2)
+        for _ in range(draws):
+            m, n = rng.choice(orders, size=2)
             x, y = sample_signal(rng, m), sample_signal(rng, n)
             combinations = list(valid_combinations(x, y, tol))
             if not combinations:

@@ -557,6 +557,26 @@ class TestErrorPaths:
         assert json.loads(err)["error"]["code"] == "invalid-input"
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--tol-rel", "-1e-3"], ["--tol-abs", "nan"]],
+        ids=["tol-rel-negative", "tol-abs-nan"],
+    )
+    @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
+    def test_tolerance_is_checked_for_every_command(self, tmp_path, capsys, command, flags):
+        # The tolerance is checked before any handler runs, so commands that
+        # compare nothing approximately refuse an invalid one too.
+        x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
+        inputs = {
+            "convolve": ["--x", x, "--y", x],
+            "kernel": ["--m", "3", "--n", "3"],
+            "reproduce-paper": [],
+        }[command]
+        code, out, err = run(capsys, [command, *inputs, *flags])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-input"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["trials", "--suite", "attack"],

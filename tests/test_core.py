@@ -169,13 +169,16 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "bad",
-        [1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x"],
-        ids=["complex", "imaginary", "complex64", "0d-complex", "list", "array", "str"],
+        [1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x", "0.5"],
+        ids=[
+            "complex", "imaginary", "complex64", "0d-complex", "list", "array", "str", "numeric-str"
+        ],
     )
     @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
     def test_non_real_scalar_parameter_rejected_by_name(self, name, bad):
-        # float() alone raised a bare TypeError here, or truncated a numpy
-        # complex scalar to its real part with a ComplexWarning.
+        # float() alone raised a bare TypeError here, truncated a numpy
+        # complex scalar to its real part with a ComplexWarning, or parsed a
+        # numeric string.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
@@ -185,13 +188,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ToleranceProfile(abs_tol=-1.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None]
+    )
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     def test_tolerance_profile_rejects_nonfinite(self, field, bad):
         # A NaN threshold makes every comparison false and an infinite one
         # makes every comparison true, so either would silently pass or
-        # refuse any input.
-        with pytest.raises(ValueError, match=field):
+        # refuse any input.  A field that is not one real number is named
+        # too, not left to a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             ToleranceProfile(**{field: bad})
 
     def test_tolerance_threshold_scales_with_operands(self):

@@ -6,7 +6,7 @@ import pytest
 
 from ambiconv import DEFAULT_TOL, ToleranceProfile, quotient, quotient_decompose, reconstruct
 from ambiconv.core import as_signal
-from ambiconv.quotient import _bordered, _candidates, _real_roots, _reconstructs, _residual
+from ambiconv.quotient import _bordered, _candidates, _real_roots
 from ambiconv.trials import sample_signal
 from oracles import convolve_brute, quotient_candidates
 
@@ -233,13 +233,32 @@ def candidate_bytes(candidates):
     return [(p.hex(), g.hex(), np.asarray(w, dtype=float).tobytes()) for p, g, w in candidates]
 
 
+CHECK_TOLS = [DEFAULT_TOL, ToleranceProfile(0.0, 1e-12), ToleranceProfile(0.0, 1e-14)]
+
+
+def reproducing_candidates(ws, peak, tol):
+    """The array-based reference candidates of tests/oracles.py kept by the
+    full numpy residual max|conv(w_star, taps) - ws| at ``tol``."""
+    kept = []
+    for w_peak, gamma, w_star in quotient_candidates(ws):
+        taps = (math.cos(gamma), -math.sin(gamma))
+        if float(np.abs(np.convolve(w_star, taps) - ws).max()) <= tol._at(max(peak, w_peak)):
+            kept.append((w_peak, gamma, w_star))
+    return kept
+
+
 class TestCandidates:
-    # The list-based builder must reproduce the array-based reference in
-    # tests/oracles.py byte for byte: every peak, angle and quotient entry.
+    # The list-based builder, which keeps a factor by its division remainder
+    # alone, must reproduce the array-based reference filtered by the full
+    # reconstruction residual byte for byte (every peak, angle and quotient
+    # entry) at the default tolerance and at tighter ones.  ``check`` returns
+    # the candidates at each tolerance of CHECK_TOLS.
     def check(self, w):
         ws = as_signal(w)
-        got = _candidates(ws, float(np.abs(ws).max()))
-        assert candidate_bytes(got) == candidate_bytes(quotient_candidates(ws))
+        peak = float(np.abs(ws).max())
+        got = [_candidates(ws, peak, tol) for tol in CHECK_TOLS]
+        want = [reproducing_candidates(ws, peak, tol) for tol in CHECK_TOLS]
+        assert list(map(candidate_bytes, got)) == list(map(candidate_bytes, want))
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -249,12 +268,22 @@ class TestCandidates:
             for scale in (1e-150, 1.0, 1e150):
                 self.check(sample_signal(rng, d) * scale)
 
+    def test_remainder_check_matches_numpy_residual(self):
+        # Every accept/reject decision of the remainder check is the full
+        # numpy residual's; at 1e-14 about one candidate in ten fails it.
+        rng = np.random.default_rng(7)
+        counts = np.zeros(len(CHECK_TOLS), dtype=int)
+        for d in [*range(2, 65)] * 3:
+            for scale in (1e-120, 1.0, 1e120):
+                counts += [len(kept) for kept in self.check(sample_signal(rng, d) * scale)]
+        assert counts[0] > 1000 and counts[-1] < counts[0]
+
     def test_roots_on_both_sides_of_the_unit_circle(self):
         # Each side divides from its own end: |r| > 1 from the low end,
         # |r| <= 1 from the high end (the reversed list).
         roots = [-7.0, -1.5, -1.0, -0.6, 0.25, 0.9, 1.0, 2.5, 40.0]
         w = np.poly(roots)[::-1]
-        got = self.check(w)
+        got = self.check(w)[0]
         want = [math.atan2(1.0, r) for r in roots]
         assert np.allclose([g for _, g, _ in got], want, rtol=1e-9, atol=0.0)
 
@@ -263,9 +292,9 @@ class TestCandidates:
         # out the root 1 gives a quotient of peak 14.1 k, which overflows,
         # while the root 10 gives 10.05 k.  Both builders drop the first.
         k = 1.5e308 / 11.0
-        got = self.check([10.0 * k, -11.0 * k, k])
+        got = self.check([10.0 * k, -11.0 * k, k])[0]
         assert [g for _, g, _ in got] == pytest.approx([math.atan2(1.0, 10.0)], rel=1e-12)
-        assert self.check([1.7e308, 0.0, 0.0, 0.0, 0.0, -1.7e308]) == []
+        assert self.check([1.7e308, 0.0, 0.0, 0.0, 0.0, -1.7e308]) == [[], [], []]
 
 
 class TestBordered:
@@ -284,31 +313,6 @@ class TestBordered:
                 want = np.convolve(ws, taps).tobytes()
                 assert _bordered(ws, gamma).tobytes() == want, (gamma, d)
                 assert _bordered(ws.tolist(), gamma).tobytes() == want, (gamma, d)
-
-
-class TestReconstructsOnFloats:
-    def test_list_residual_matches_numpy_residual(self):
-        # The residual on Python floats agrees with the array form within a
-        # few ulps of the scale, and every accept/reject decision, at the
-        # default tolerance and at tighter ones, is the array form's.
-        rng = np.random.default_rng(7)
-        tols = [DEFAULT_TOL, ToleranceProfile(0.0, 1e-12), ToleranceProfile(0.0, 1e-14)]
-        checked = 0
-        for d in [*range(2, 65)] * 3:
-            for scale in (1e-120, 1.0, 1e120):
-                ws = sample_signal(rng, d) * scale
-                w, peak = ws.tolist(), float(np.abs(ws).max())
-                for c in _candidates(ws, peak):
-                    w_peak, gamma, q = c
-                    taps = (math.cos(gamma), -math.sin(gamma))
-                    want = float(np.abs(np.convolve(q, taps) - ws).max())
-                    got = _residual(w, gamma, q)
-                    assert abs(got - want) <= 4 * np.finfo(float).eps * max(peak, w_peak)
-                    for tol in tols:
-                        accept = want <= tol._at(max(peak, w_peak))
-                        assert _reconstructs(w, peak, tol, c) == accept
-                    checked += 1
-        assert checked > 1000
 
 
 class TestCompanionSkeletons:
