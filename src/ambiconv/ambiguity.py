@@ -136,8 +136,9 @@ def rotational_family(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Angle-parameterized family of pairs sharing one convolution output.
 
-    Requires the seed condition ``convolve(x1, y1) == convolve(x2, y2)``,
-    with neither convolution overflowing float64.
+    Requires x1 and x2, and y1 and y2, of equal length, and the seed condition
+    ``convolve(x1, y1) == convolve(x2, y2)``, with neither convolution
+    overflowing float64.
     Returns ``(x1', y1', x2', y2')`` where
 
         x1' = x1 cos(theta) - x2 sin(theta),   y1' = y1 sin(phi) - y2 cos(phi),
@@ -149,6 +150,9 @@ def rotational_family(
     """
     (x1s, x1_peak), (x2s, x2_peak) = _signal(x1), _signal(x2)
     (y1s, y1_peak), (y2s, y2_peak) = _signal(y1), _signal(y2)
+    for name, a, b in (("x", x1s, x2s), ("y", y1s, y2s)):
+        if a.size != b.size:
+            raise ValueError(f"{name}1 and {name}2 differ in length: {a.size} vs {b.size}")
     theta, phi = _finite_scalar(theta, "theta"), _finite_scalar(phi, "phi")
     tol = tol or DEFAULT_TOL
     residual, peak, peak_alt = _outputs(x1s, y1s, x2s, y2s)

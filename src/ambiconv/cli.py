@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--tol-abs", type=float, default=1e-12, help="absolute tolerance")
     common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", _cmd_decompose, "bordered-rotation factor pairs of a vector")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=None, help="alias for --tol-rel")
 
     p = add("classify", _cmd_classify, "structural certificate of a kernel element")
     p.add_argument("--matrix", required=True)
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("attack", _cmd_attack, "adversarial certificate pair for a signal pair")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--tol", type=float, default=None, help="alias for --tol-rel")
 
     p = add("shift", _cmd_shift, "shifted certificate pair for border zero patterns")
     p.add_argument("--x", required=True)
@@ -371,7 +368,7 @@ def _bind_tolerance_values(argv: list[str]) -> list[str]:
     the tolerance check and its structured ``invalid-input`` error."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--tol", "--tol-abs", "--tol-rel") and arg.startswith("-"):
+        if out and out[-1] == "--tol-rel" and arg.startswith("-"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -388,8 +385,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise InputError("bad-seed", f"--seed must be >= 0, got {args.seed}")
         # Every command's tolerance is checked here; handlers read the profile.
-        rel = args.tol_rel if getattr(args, "tol", None) is None else args.tol
-        args.tol = ToleranceProfile(abs_tol=args.tol_abs, rel_tol=rel)
+        args.tol = ToleranceProfile(rel_tol=args.tol_rel)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early raises here, not at exit
         return code

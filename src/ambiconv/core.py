@@ -41,27 +41,27 @@ def _real_scalar(value, name: str) -> float:
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ToleranceProfile:
-    """Scale-aware comparison tolerances.
+    """Scale-relative comparison tolerance.
 
     Every approximate comparison in the library uses the threshold
-    ``abs_tol + rel_tol * scale`` where ``scale`` is the largest absolute
-    entry among the operands.
+    ``rel_tol * scale``, where ``scale`` is the largest absolute entry among
+    the operands, so no verdict depends on units: scaling every operand by a
+    power of two scales each result by it exactly, while every value stays in
+    float64's normal range.  ``rel_tol`` is keyword-only.
     """
 
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            value = _real_scalar(getattr(self, name), name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+        value = _real_scalar(self.rel_tol, "rel_tol")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {value}")
+        object.__setattr__(self, "rel_tol", value)
 
     def threshold(self, *operands) -> float:
-        """The threshold at the largest |entry| of real, finite operands."""
+        """``rel_tol`` times the largest |entry| of real, finite operands."""
         scale = 0.0
         for op in operands:
             arr = _real(op, "operand")
@@ -73,8 +73,9 @@ class ToleranceProfile:
         return self._at(scale)
 
     def _at(self, scale: float) -> float:
-        """The threshold at an already computed ``scale`` (largest |entry|)."""
-        return self.abs_tol + self.rel_tol * scale
+        """The threshold ``rel_tol * scale`` at an already computed ``scale``
+        (largest |entry|): the one formula behind every tolerance decision."""
+        return self.rel_tol * scale
 
 
 DEFAULT_TOL = ToleranceProfile()

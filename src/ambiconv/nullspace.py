@@ -46,11 +46,6 @@ from .core import (
 )
 
 
-class GenerationError(RuntimeError):
-    """Raised by no function since ``n2_generate`` needs no retries; kept
-    exported for callers that catch it."""
-
-
 # --- certificates ------------------------------------------------------------
 
 
@@ -263,7 +258,7 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     inner = a + b
     peak = _peak(inner)
     image_peak = _peak(_checked_lift(inner, peak))
-    bound = tol.rel_tol * peak
+    bound = tol._at(peak)
     if image_peak > bound:
         raise ValueError(
             "inner residual u1 v1^T + u2 v2^T is not in the lower-dimensional "
@@ -309,7 +304,7 @@ def n2_generate(
     the certificate, so the two agree bit for bit.  One flat loop makes the
     levels, in O(mn) memory at any order (the CLI writes at most
     ``cli.MAX_CERT_DEPTH``).  The construction is exact, so ``tol`` does not
-    affect generation, and neither do the ``--tol-*`` flags of ``ambiconv n2``.
+    affect generation, and neither does the ``--tol-rel`` flag of ``ambiconv n2``.
     """
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")

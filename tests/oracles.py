@@ -153,23 +153,23 @@ def n2_generate_reference(m, n, seed):
     return certificate_matrix(cert), cert
 
 
-def classify_recursive(w, abs_tol=1e-12, rel_tol=1e-9):
+def classify_recursive(w, rel_tol=1e-9):
     """(certificate, refactorization residual) of a rank-two kernel element."""
     w = np.array(w, dtype=float)
-    cert = _classify_level(w, abs_tol, rel_tol, float(np.max(np.abs(w))))
+    cert = _classify_level(w, rel_tol, float(np.max(np.abs(w))))
     if cert["kind"] == "raw":
         return cert, 0.0
     return cert, float(np.max(np.abs(w - certificate_matrix(cert))))
 
 
-def _classify_level(w, abs_tol, rel_tol, peak):
+def _classify_level(w, rel_tol, peak):
     m, n = w.shape
-    thresh = abs_tol + rel_tol * peak
+    thresh = rel_tol * peak
     if m == 2:
         return {"kind": "n0", "u": np.ones(1), "v": w[0, 1:]}
     if n == 2:
         return transpose_certificate(
-            _classify_level(np.ascontiguousarray(w.T), abs_tol, rel_tol, peak)
+            _classify_level(np.ascontiguousarray(w.T), rel_tol, peak)
         )
     corner_bl = abs(w[m - 1, 0])
     corner_tr = abs(w[0, n - 1])
@@ -177,7 +177,7 @@ def _classify_level(w, abs_tol, rel_tol, peak):
         return {"kind": "raw"}
     if corner_tr > corner_bl:
         return transpose_certificate(
-            _classify_level(np.ascontiguousarray(w.T), abs_tol, rel_tol, peak)
+            _classify_level(np.ascontiguousarray(w.T), rel_tol, peak)
         )
     u2 = w[1:, 0]
     v2 = w[m - 1, : n - 1] / w[m - 1, 0]
@@ -198,7 +198,7 @@ def _classify_level(w, abs_tol, rel_tol, peak):
         "u2": u2,
         "v1": v1,
         "v2": v2,
-        "inner": _classify_level(inner, abs_tol, rel_tol, inner_peak),
+        "inner": _classify_level(inner, rel_tol, inner_peak),
     }
 
 

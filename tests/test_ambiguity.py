@@ -92,6 +92,19 @@ class TestRotationalFamily:
         with pytest.raises(ValueError):
             rotational_family([1.0, 2.0], [2.0, 1.0], [1.0], [1.0], 0.5, 0.25)
 
+    @pytest.mark.parametrize(
+        "x1, x2, y1, y2, message",
+        [
+            # Equal output lengths: the rotation itself could not broadcast.
+            ([1.0, 2.0, 1.0], [1.0] * 4, [1.0] * 4, [1.0] * 3, "x1 and x2 differ in length: 3 vs 4"),
+            # Unequal output lengths: the seed residual could not broadcast.
+            ([1.0, 2.0], [2.0, 1.0], [1.0] * 3, [1.0] * 2, "y1 and y2 differ in length: 3 vs 2"),
+        ],
+    )
+    def test_mismatched_lengths_are_named(self, x1, x2, y1, y2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rotational_family(x1, x2, y1, y2, 0.5, 0.25)
+
     def test_overflowing_rotated_factors_are_refused(self):
         # The seed outputs are finite (1.7e8 each); x1' and x2' are not.
         with pytest.raises(ValueError, match="overflow float64: rescale"):
@@ -218,9 +231,9 @@ class TestAttack:
         "tol, orders, draws, floor",
         [
             (DEFAULT_TOL, range(4, 17, 2), 200, 190),
-            (ToleranceProfile(0.0, 1e-15), range(4, 17, 2), 200, 120),
+            (ToleranceProfile(rel_tol=1e-15), range(4, 17, 2), 200, 120),
             (DEFAULT_TOL, (32, 48, 64), 40, 38),
-            (ToleranceProfile(0.0, 1e-15), (32, 48, 64), 40, 18),
+            (ToleranceProfile(rel_tol=1e-15), (32, 48, 64), 40, 18),
         ],
         ids=["default-tol", "tight-tol", "default-tol-orders-32-64", "tight-tol-orders-32-64"],
     )

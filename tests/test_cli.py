@@ -154,6 +154,14 @@ class TestReproduceCommand:
         failing = [c for c in obj["checks"] if not c["ok"]]
         assert failing and failing[0]["first_bad_index"] == 0
 
+    def test_short_override_names_the_mismatched_pair(self, tmp_path, capsys):
+        short = write_signal(tmp_path / "x1.json", [1, 0, 1, 0, 0, 0, 0, 0, 1, 0])
+        code, out, _ = run(capsys, ["reproduce-paper", "--x1", short])
+        assert code == 1
+        seed = json.loads(out)["checks"][-1]
+        assert seed["name"] == "rotational family seed condition"
+        assert seed["detail"] == "x1 and x2 differ in length: 10 vs 11"
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["reproduce-paper", "--format", "csv"])
         assert code == 0
@@ -274,7 +282,7 @@ class TestTrialsCommand:
         assert report["failures"] == [{"index": 2, "n": 4}]
 
     def test_report_is_strict_json(self, capsys):
-        argv = "trials --suite attack --n 5 --seed 1 --tol-rel 1e-17 --tol-abs 0"
+        argv = "trials --suite attack --n 5 --seed 1 --tol-rel 1e-17"
         code, out, _ = run(capsys, argv.split())
 
         def refuse(token):
@@ -471,7 +479,7 @@ class TestErrorPaths:
     def test_root_finding_failure_exits_1(self, tmp_path, capsys):
         # The companion row 1e300 / 1e-300 overflows.
         w = write_signal(tmp_path / "w.json", [1e300, 1.0, 1e-300])
-        argv = ["decompose", "--input", w, "--tol-abs", "0", "--tol-rel", "0"]
+        argv = ["decompose", "--input", w, "--tol-rel", "0"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"]["code"] == "root-finding-failed"
@@ -526,24 +534,24 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--tol", "nan"],
-            ["--tol", "inf"],
-            ["--tol-abs", "nan"],
+            ["--tol-rel", "nan"],
+            ["--tol-rel", "inf"],
             ["--tol-rel=-inf"],
             ["--tol-rel=-1e-3"],
             ["--tol-rel", "-1e-3"],
+            ["--tol-rel", "-inf"],
+            ["--tol-abs", "nan"],
             ["--tol-abs", "-inf"],
-            ["--tol", "-1e-3"],
         ],
         ids=[
             "tol-nan",
             "tol-inf",
-            "tol-abs-nan",
             "tol-rel-minus-inf",
             "tol-rel-joined-negative",
             "tol-rel-negative",
-            "tol-abs-minus-inf",
             "tol-negative",
+            "tol-abs-nan",
+            "tol-abs-minus-inf",
         ],
     )
     @pytest.mark.parametrize("command", ["decompose", "attack"])
@@ -551,16 +559,22 @@ class TestErrorPaths:
         x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
         y = write_signal(tmp_path / "y.json", [1.0, 1.0, 2.0, 1.0])
         inputs = ["--input", x] if command == "decompose" else ["--x", x, "--y", y]
+        if flags[0] == "--tol-abs":
+            # Every comparison is relative, so the absolute tolerance's flag
+            # is gone: argparse refuses it, whatever its value.
+            with pytest.raises(SystemExit) as exc:
+                main([command, *inputs, *flags])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert "unrecognized arguments: --tol-abs" in captured.err
+            return
         code, out, err = run(capsys, [command, *inputs, *flags])
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["code"] == "invalid-input"
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--tol-rel", "-1e-3"], ["--tol-abs", "nan"]],
-        ids=["tol-rel-negative", "tol-abs-nan"],
-    )
+    @pytest.mark.parametrize("flags", [["--tol-rel", "-1e-3"]], ids=["tol-rel-negative"])
     @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
     def test_tolerance_is_checked_for_every_command(self, tmp_path, capsys, command, flags):
         # The tolerance is checked before any handler runs, so commands that
@@ -575,6 +589,22 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["code"] == "invalid-input"
+
+    @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
+    def test_removed_tol_abs_flag_is_usage_error(self, tmp_path, capsys, command):
+        # Every comparison is relative, so the absolute tolerance's flag is
+        # gone: argparse refuses it before any command runs.  decompose and
+        # attack are checked in test_nonfinite_tolerance_is_invalid_input.
+        x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
+        inputs = {
+            "convolve": ["--x", x, "--y", x],
+            "kernel": ["--m", "3", "--n", "3"],
+            "reproduce-paper": [],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--tol-abs", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -186,28 +186,50 @@ class TestValidation:
 
     def test_tolerance_profile_rejects_negative(self):
         with pytest.raises(ValueError):
-            ToleranceProfile(abs_tol=-1.0)
+            ToleranceProfile(rel_tol=-1.0)
+
+    def test_tolerance_profile_takes_rel_tol_by_keyword_only(self):
+        # rel_tol is the one field and keyword-only, so neither abs_tol= nor
+        # an old positional ToleranceProfile(a, r) can silently set rel_tol=a.
+        with pytest.raises(TypeError):
+            ToleranceProfile(abs_tol=0.0)
+        with pytest.raises(TypeError):
+            ToleranceProfile(1e-12)
+        assert ToleranceProfile(rel_tol=1e-12).rel_tol == 1e-12
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None]
     )
-    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
-    def test_tolerance_profile_rejects_nonfinite(self, field, bad):
+    @pytest.mark.parametrize(
+        "field, refusal",
+        [
+            # Every comparison is relative, so the removed absolute field is
+            # refused whatever its value, not silently ignored.
+            pytest.param(
+                "abs_tol", (TypeError, "unexpected keyword argument 'abs_tol'"), id="abs_tol"
+            ),
+            pytest.param("rel_tol", (ValueError, "^rel_tol must be "), id="rel_tol"),
+        ],
+    )
+    def test_tolerance_profile_rejects_nonfinite(self, field, refusal, bad):
         # A NaN threshold makes every comparison false and an infinite one
         # makes every comparison true, so either would silently pass or
         # refuse any input.  A field that is not one real number is named
         # too, not left to a bare TypeError.
-        with pytest.raises(ValueError, match=f"^{field} must be "):
+        error, message = refusal
+        with pytest.raises(error, match=message):
             ToleranceProfile(**{field: bad})
 
     def test_tolerance_threshold_scales_with_operands(self):
-        tol = ToleranceProfile(abs_tol=1e-12, rel_tol=1e-9)
-        assert tol.threshold(np.zeros(3)) == 1e-12
-        assert tol.threshold([2.0], [-8.0]) == pytest.approx(1e-12 + 8e-9)
+        tol = ToleranceProfile(rel_tol=1e-9)
+        assert tol.threshold(np.zeros(3)) == 0.0
+        assert tol.threshold([2.0], [-8.0]) == 1e-9 * 8.0
+        assert tol.threshold([2.0**-600]) == 1e-9 * 2.0**-600
 
     @pytest.mark.parametrize("bad", [[float("nan")], [3.0, float("nan")], [1.0, -float("inf")]])
     def test_tolerance_threshold_refuses_nonfinite_operands(self, bad):
-        # Python's max skips a NaN, so the threshold read abs_tol before.
+        # Python's max skips a NaN that follows a larger entry; the
+        # threshold must not.
         with pytest.raises(ValueError, match="^operand entries must be finite$"):
             DEFAULT_TOL.threshold([1.0], bad)
 
