@@ -19,10 +19,8 @@ from .ambiguity import (
 )
 from .core import (
     DEFAULT_TOL,
-    LiftedConvOp,
     RankError,
     ToleranceProfile,
-    antidiagonal_shift,
     as_matrix,
     as_signal,
     convolve,
@@ -62,7 +60,6 @@ __all__ = [
     "AttackSearchError",
     "ClassifiedElement",
     "DEFAULT_TOL",
-    "LiftedConvOp",
     "M2Certificate",
     "N0Certificate",
     "N2Certificate",
@@ -73,7 +70,6 @@ __all__ = [
     "RawCertificate",
     "RootFindingError",
     "ToleranceProfile",
-    "antidiagonal_shift",
     "as_matrix",
     "as_signal",
     "attack",

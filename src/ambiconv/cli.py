@@ -44,7 +44,6 @@ from .core import (
 )
 from .nullspace import (
     M2Certificate,
-    _levels,
     certificate_to_json,
     classify,
     kernel_basis,
@@ -57,9 +56,6 @@ from .quotient import RootFindingError, quotient_decompose, reconstruct
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-# json.dumps spends a frame per certificate level (fails near 990 levels).
-MAX_CERT_DEPTH = 800
 
 
 class InputError(Exception):
@@ -149,16 +145,9 @@ def _cmd_n0(args) -> int:
     return EXIT_OK
 
 
-def _cert_json(cert) -> dict:
-    depth = len(_levels(cert)[0])
-    if depth > MAX_CERT_DEPTH:
-        raise ValueError(f"the certificate nests {depth} levels; JSON allows {MAX_CERT_DEPTH}")
-    return certificate_to_json(cert)
-
-
 def _cmd_n2(args) -> int:
     matrix, cert = n2_generate(args.m, args.n, seed=args.seed, tol=args.tol)
-    _emit({"certificate": _cert_json(cert), "matrix": matrix_to_json(matrix)}, args)
+    _emit({"certificate": certificate_to_json(cert), "matrix": matrix_to_json(matrix)}, args)
     return EXIT_OK
 
 
@@ -195,7 +184,7 @@ def _cmd_classify(args) -> int:
     _emit(
         {
             "kind": result.certificate.kind,
-            "certificate": _cert_json(result.certificate),
+            "certificate": certificate_to_json(result.certificate),
             "refactorization_residual": result.refactorization_residual,
         },
         args,
@@ -275,9 +264,11 @@ def _cmd_trials(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No option is read from a prefix of its name: ``--tol`` is no alias.
     parser = argparse.ArgumentParser(
         prog="ambiconv",
         description="Ambiguity-space toolkit for blind linear deconvolution",
+        allow_abbrev=False,
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -287,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, func, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 

@@ -222,35 +222,6 @@ def _checked_lift(w: np.ndarray, peak: float) -> np.ndarray:
         raise ValueError("the anti-diagonal sums overflow float64: rescale the matrix") from None
 
 
-@dataclass(frozen=True)
-class LiftedConvOp:
-    """The linear operator on m x n matrices that sums along anti-diagonals."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("operator dimensions must be >= 1")
-
-    @property
-    def output_len(self) -> int:
-        return self.m + self.n - 1
-
-    def apply(self, w) -> np.ndarray:
-        ws, peak = _matrix(w)
-        if ws.shape != (self.m, self.n):
-            raise ValueError(
-                f"matrix shape {ws.shape} does not match operator ({self.m}, {self.n})"
-            )
-        out = _checked_lift(ws, peak)
-        out.setflags(write=False)
-        return out
-
-    def basis(self) -> list[np.ndarray]:
-        return hankel_basis(self.m, self.n)
-
-
 def hankel_basis(m: int, n: int) -> list[np.ndarray]:
     """The m+n-1 Hankel indicator matrices decomposing the lifted operator.
 
@@ -268,24 +239,6 @@ def hankel_basis(m: int, n: int) -> list[np.ndarray]:
         s.setflags(write=False)
         basis.append(s)
     return basis
-
-
-def antidiagonal_shift(wp) -> tuple[np.ndarray, np.ndarray]:
-    """Embed a matrix in the top-right and bottom-left corner blocks.
-
-    Both outputs carry the same entries along each anti-diagonal, so their
-    anti-diagonal sums agree exactly (pure re-indexing, no arithmetic):
-    ``lift_apply(w1) == lift_apply(w2) == (0, lift_apply(wp), 0)``.
-    """
-    ws = as_matrix(wp)
-    mp, np_ = ws.shape
-    w1 = np.zeros((mp + 1, np_ + 1))
-    w1[:mp, 1:] = ws
-    w2 = np.zeros((mp + 1, np_ + 1))
-    w2[1:, :np_] = ws
-    w1.setflags(write=False)
-    w2.setflags(write=False)
-    return w1, w2
 
 
 def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:

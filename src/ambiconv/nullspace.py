@@ -20,7 +20,8 @@ nonzero corner is ``E_TR(u1 v1^T) + E_BL(u2 v2^T)`` with the inner residual
 ``u1 v1^T + u2 v2^T`` in the kernel one dimension down, so reading both
 blocks off the matrix level by level, in one flat loop, recovers a
 certificate of the generating family.  Both directions run at any order in
-O(mn) memory; only the CLI bounds the nesting it writes (``MAX_CERT_DEPTH``).
+O(mn) memory, and an n2 certificate is one flat table of levels, so its
+repr and JSON serve any depth too.
 """
 
 from __future__ import annotations
@@ -60,28 +61,18 @@ class N0Certificate:
 
 @dataclass(frozen=True)
 class N2Certificate:
-    """Corner-block factors plus the certificate of the inner residual.
+    """The corner-block factors of each n2 level, top down, over the
+    certificate of the last level's inner residual.
 
-    The residual ``u1 v1^T + u2 v2^T`` must itself be a (nonzero) element of
-    the rank-two kernel one dimension down.
+    Row k of ``levels`` is ``(u1, u2, v1, v2)``: level k's matrix is
+    ``E_TR(u1 v1^T) + E_BL(u2 v2^T)``, and its inner residual
+    ``u1 v1^T + u2 v2^T`` is level k + 1's matrix, or ``bottom``'s below the
+    last row.  ``bottom`` is an n0, m2 or raw certificate, never an n2 one.
     """
 
     kind: ClassVar[str] = "n2"
-    u1: np.ndarray
-    u2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    inner: "NullspaceCertificate"
-
-    def __repr__(self) -> str:
-        # The dataclass's repr, built in one loop instead of a frame per level.
-        levels, bottom = _levels(self)
-        heads = (
-            f"{type(c).__qualname__}(u1={c.u1!r}, u2={c.u2!r}, "
-            f"v1={c.v1!r}, v2={c.v2!r}, inner="
-            for c in levels
-        )
-        return "".join(heads) + repr(bottom) + ")" * len(levels)
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    bottom: "N0Certificate | M2Certificate | RawCertificate"
 
 
 @dataclass(frozen=True)
@@ -111,91 +102,101 @@ class ClassifiedElement:
     refactorization_residual: float
 
 
-def _levels(cert) -> tuple[list[N2Certificate], object]:
-    """The n2 levels of a certificate, top down, and what they nest over."""
-    levels = []
-    while isinstance(cert, N2Certificate):
-        levels.append(cert)
-        cert = cert.inner
-    return levels, cert
-
-
 _N2_VECTORS = ("u1", "u2", "v1", "v2")
-_JSON_KEYS = {"n0": ("u", "v"), "n2": (*_N2_VECTORS, "inner"), "m2": ("u", "lambda"), "raw": ()}
+_JSON_KEYS = {"n0": ("u", "v"), "n2": ("levels", "bottom"), "m2": ("u", "lambda"), "raw": ()}
 
 
 def certificate_to_json(cert: NullspaceCertificate) -> dict:
-    levels, bottom = _levels(cert)
-    if isinstance(bottom, N0Certificate):
-        out = {"kind": "n0", "u": list(map(float, bottom.u)), "v": list(map(float, bottom.v))}
-    elif isinstance(bottom, M2Certificate):
-        out = {"kind": "m2", "u": list(map(float, bottom.u)), "lambda": float(bottom.lam)}
-    elif isinstance(bottom, RawCertificate):
-        out = {"kind": "raw"}
-    else:
-        raise TypeError(f"not a certificate: {bottom!r}")
-    for level in reversed(levels):
-        vectors = {f: list(map(float, getattr(level, f))) for f in _N2_VECTORS}
-        out = {"kind": "n2", **vectors, "inner": out}
-    return out
+    if isinstance(cert, N2Certificate):
+        levels = [
+            {f: list(map(float, vec)) for f, vec in zip(_N2_VECTORS, row)} for row in cert.levels
+        ]
+        return {"kind": "n2", "levels": levels, "bottom": certificate_to_json(cert.bottom)}
+    if isinstance(cert, N0Certificate):
+        return {"kind": "n0", "u": list(map(float, cert.u)), "v": list(map(float, cert.v))}
+    if isinstance(cert, M2Certificate):
+        return {"kind": "m2", "u": list(map(float, cert.u)), "lambda": float(cert.lam)}
+    if isinstance(cert, RawCertificate):
+        return {"kind": "raw"}
+    raise TypeError(f"not a certificate: {cert!r}")
 
 
 def certificate_from_json(obj) -> NullspaceCertificate:
     """Load a certificate, refusing, by level, one that no matrix has: an n2
-    level whose paired vectors differ in length or whose inner certificate
-    does not describe a matrix of its blocks' shape, or an m2 bottom with an
-    all-zero ``u`` or a ``lambda`` that is not a finite nonzero real."""
-    levels = []
-    while True:
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError('certificate JSON must carry a "kind" discriminator')
-        kind = obj["kind"]
-        if not isinstance(kind, str) or kind not in _JSON_KEYS:
-            raise ValueError(f"unknown certificate kind: {kind!r}")
-        missing = [key for key in _JSON_KEYS[kind] if key not in obj]
-        if missing:
-            keys = ", ".join(_JSON_KEYS[kind])
-            raise ValueError(f"{kind} certificate JSON lacks {', '.join(missing)} (needs {keys})")
-        where = f"certificate level {len(levels) + 1} ({kind})"
-        if kind != "n2":
-            break
-        vectors = {f: as_signal(obj[f]) for f in _N2_VECTORS}
-        for a, b in (("u1", "u2"), ("v1", "v2")):
-            if vectors[a].size != vectors[b].size:
-                raise ValueError(
-                    f"{where}: {a} has {vectors[a].size} entries but {b} has {vectors[b].size}"
-                )
-        _fits_blocks(levels, (vectors["u1"].size + 1, vectors["v1"].size + 1), where)
-        levels.append(vectors)
-        obj = obj["inner"]
+    certificate without levels or over an n2 bottom, a level whose paired
+    vectors differ in length or that does not describe a matrix of the shape
+    of the blocks of the level above it, or an m2 bottom with an all-zero
+    ``u`` or a ``lambda`` that is not a finite nonzero real."""
+    if _json_kind(obj) != "n2":
+        return _bottom_from_json(obj, 1, None)
+    rows = obj["levels"]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("certificate level 1 (n2): levels must be a nonempty list")
+    levels, blocks = [], None
+    for k, row in enumerate(rows, 1):
+        where = f"certificate level {k} (n2)"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where} must be an object with keys {', '.join(_N2_VECTORS)}")
+        _require(row, _N2_VECTORS, where)
+        u1, u2, v1, v2 = (as_signal(row[f]) for f in _N2_VECTORS)
+        for (a, x), (b, y) in ((("u1", u1), ("u2", u2)), (("v1", v1), ("v2", v2))):
+            if x.size != y.size:
+                raise ValueError(f"{where}: {a} has {x.size} entries but {b} has {y.size}")
+        _fits_blocks(k, where, (u1.size + 1, v1.size + 1), blocks)
+        levels.append((u1, u2, v1, v2))
+        blocks = (u1.size, v1.size)
+    return N2Certificate(tuple(levels), _bottom_from_json(obj["bottom"], k + 1, blocks))
+
+
+def _json_kind(obj) -> str:
+    """The ``kind`` of a certificate object, once it carries its kind's keys."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError('certificate JSON must carry a "kind" discriminator')
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+        raise ValueError(f"unknown certificate kind: {kind!r}")
+    _require(obj, _JSON_KEYS[kind], f"{kind} certificate JSON")
+    return kind
+
+
+def _require(obj: dict, keys: tuple, what: str) -> None:
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)} (needs {', '.join(keys)})")
+
+
+def _bottom_from_json(obj, level: int, blocks) -> NullspaceCertificate:
+    """The n0, m2 or raw certificate ``obj`` at ``level``, under an n2 level
+    with corner blocks of shape ``blocks`` (``None`` at the top)."""
+    kind = _json_kind(obj)
+    where = f"certificate level {level} ({kind})"
+    if kind == "raw":
+        return RawCertificate()
+    if kind == "n2":
+        raise ValueError(f"{where} is the bottom of an n2 certificate, which must be n0, m2 or raw")
     if kind == "n0":
         cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
-        _fits_blocks(levels, (cert.u.size + 1, cert.v.size + 1), where)
-    elif kind == "m2":
+        shape = (cert.u.size + 1, cert.v.size + 1)
+    else:
         lam = _real_scalar(obj["lambda"], f"{where}: lambda")
         if not (math.isfinite(lam) and lam != 0.0):
             raise ValueError(f"{where}: lambda must be finite and nonzero, got {lam}")
         cert = M2Certificate(u=as_signal(obj["u"]), lam=lam)
         if not cert.u.any():
             raise ValueError(f"{where}: u must be nonzero")
-        _fits_blocks(levels, (cert.u.size + 2,) * 2, where)
-    else:
-        cert = RawCertificate()
-    for vectors in reversed(levels):
-        cert = N2Certificate(**vectors, inner=cert)
+        shape = (cert.u.size + 2,) * 2
+    _fits_blocks(level, where, shape, blocks)
     return cert
 
 
-def _fits_blocks(levels: list[dict], shape: tuple[int, int], where: str) -> None:
-    """Refuse a certificate level describing an ``shape`` matrix unless that
-    is the shape of the corner blocks of the n2 level above it, if any."""
-    if levels:
-        blocks = (levels[-1]["u1"].size, levels[-1]["v1"].size)
-        if shape != blocks:
-            raise ValueError(
-                f"{where} describes a {shape[0]}x{shape[1]} matrix, but the blocks of "
-                f"level {len(levels)} are {blocks[0]}x{blocks[1]}"
-            )
+def _fits_blocks(level: int, where: str, shape: tuple[int, int], blocks) -> None:
+    """Refuse ``level`` (named ``where``), describing a ``shape`` matrix, unless
+    the n2 level above it, if any, has corner blocks of that shape."""
+    if blocks is not None and shape != blocks:
+        raise ValueError(
+            f"{where} describes a {shape[0]}x{shape[1]} matrix, but the blocks of "
+            f"level {level - 1} are {blocks[0]}x{blocks[1]}"
+        )
 
 
 def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:
@@ -204,7 +205,8 @@ def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:
     if isinstance(cert, N0Certificate):
         return n0_element(cert.u, cert.v)
     if isinstance(cert, N2Certificate):
-        return _corner_embed(cert.u1[:, None] * cert.v1, cert.u2[:, None] * cert.v2)
+        u1, u2, v1, v2 = cert.levels[0]
+        return _corner_embed(u1[:, None] * v1, u2[:, None] * v2)
     if isinstance(cert, M2Certificate):
         return m2_element(cert.u, cert.lam)
     raise ValueError("raw certificates have no parametric reconstruction")
@@ -267,11 +269,20 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
     return _corner_embed(a, b)
 
 
+def _row(u1, u2, v1, v2, turns: int) -> tuple:
+    """One n2 level's vectors, read-only, for the matrix they were read from
+    after ``turns`` turns.  A turn T transposes: T(E_TR(u1 v1^T) +
+    E_BL(u2 v2^T)) = E_TR(v2 u2^T) + E_BL(v1 u1^T)."""
+    row = (v2, v1, u2, u1) if turns % 2 else (u1, u2, v1, v2)
+    for vec in row:
+        vec.setflags(write=False)
+    return row
+
+
 def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
-    """Nest ``levels`` (each ``(u1, u2, v1, v2, turns before it)``, top down)
-    over ``bottom`` (an n0's ``(u, v)`` after ``turns`` turns; ``None``: raw),
-    once, bottom up.  A turn T transposes all below it: T(N0(u, v)) =
-    N0(v, -u), and T(N2(u1, u2, v1, v2, inner)) = N2(v2, v1, u2, u1, T(inner))."""
+    """The certificate of ``levels`` (rows from ``_row``, top down) over
+    ``bottom``: an n0's ``(u, v)`` read after ``turns`` turns (T(N0(u, v)) =
+    N0(v, -u)), or ``None`` for raw."""
     cert: NullspaceCertificate = RawCertificate()
     if bottom is not None:
         u, v = bottom
@@ -280,12 +291,7 @@ def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
         u.setflags(write=False)
         v.setflags(write=False)
         cert = N0Certificate(u=u, v=v)
-    for u1, u2, v1, v2, before in reversed(levels):
-        for field in (u1, u2, v1, v2):
-            field.setflags(write=False)
-        fields = (v2, v1, u2, u1) if before % 2 else (u1, u2, v1, v2)
-        cert = N2Certificate(*fields, inner=cert)
-    return cert
+    return N2Certificate(tuple(levels), cert) if levels else cert
 
 
 def n2_generate(
@@ -299,11 +305,10 @@ def n2_generate(
     fixed to (1, 0) and (0, 1)), ``W = outer(p, b*q) - outer(q, b*p)`` lifts
     to zero and has rank at most two.  For ``m > n`` the ``(n, m)``
     element is transposed, its certificate built in that form.  Returns the
-    matrix together with its nested certificate, ``min(m, n) - 2`` levels
-    deep with a bordered product at the bottom; the matrix is rebuilt from
-    the certificate, so the two agree bit for bit.  One flat loop makes the
-    levels, in O(mn) memory at any order (the CLI writes at most
-    ``cli.MAX_CERT_DEPTH``).  The construction is exact, so ``tol`` does not
+    matrix together with its certificate, ``min(m, n) - 2`` levels over a
+    bordered product; the matrix is rebuilt from the certificate, so the two
+    agree bit for bit.  One flat loop makes the levels, in O(mn) memory at
+    any order.  The construction is exact, so ``tol`` does not
     affect generation, and neither does the ``--tol-rel`` flag of ``ambiconv n2``.
     """
     if m < 2 or n < 2:
@@ -321,15 +326,14 @@ def n2_generate(
     # Each level reads them as Python floats, which round as numpy scalars do.
     p[0], p[-1], q[0], q[-1] = 1.0, 0.0, 0.0, 1.0
     levels, turns = [], int(m > n)
-    while p.size > 1:
+    while True:
         p0, p1, q0, q1 = p.item(0), p.item(-1), q.item(0), q.item(-1)
         c = q1 * p0 - q0 * p1
         p, q = (q0 * p - p0 * q)[1:] / c, (q1 * p - p1 * q)[:-1]
-        levels.append((-q, p, _convolve(b, p), _convolve(b, q), turns))
-    # One-entry p' and q' make the inner residual p'q'(b - b) vanish.
-    u1, _, v1, _, _ = levels.pop()
-    cert = _nest(levels, (u1, v1), turns)
-    return certificate_to_matrix(cert), cert
+        if p.size == 1:  # one-entry p' and q' make the inner residual p'q'(b - b) vanish
+            cert = _nest(levels, (-q, _convolve(b, p)), turns)
+            return certificate_to_matrix(cert), cert
+        levels.append(_row(-q, p, _convolve(b, p), _convolve(b, q), turns))
 
 
 def m2_element(u, lam: float) -> np.ndarray:
@@ -410,9 +414,9 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
     element of the lower-dimensional kernel (classified the same way), and
     ``raw`` when both corner entries vanish (the exception set, which the
     factorization does not cover).  One flat loop reads the levels and keeps
-    compact copies of their vectors: O(mn) memory at any order (the CLI
-    writes at most ``cli.MAX_CERT_DEPTH``).  A matrix whose factorization or
-    sums overflow float64 is refused with ``ValueError``.
+    compact copies of their vectors: O(mn) memory at any order.  A matrix
+    whose factorization or sums overflow float64 is refused with
+    ``ValueError``.
     """
     ws, peak = _matrix(w)
     tol = tol or DEFAULT_TOL
@@ -433,7 +437,7 @@ def classify(w, tol: ToleranceProfile | None = None) -> ClassifiedElement:
 def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> NullspaceCertificate:
     """The certificate of a trusted 2-D float64 array with largest |entry|
     ``peak``.  Each pass reads one level, or turns the matrix (the view
-    ``w.T``) to divide by the larger corner; ``_nest`` applies the turns.  The
+    ``w.T``) to divide by the larger corner; ``_row`` and ``_nest`` apply the turns.  The
     loop owns ``w``, a copy or a view of one, and edits it in place; ``argmax``
     indexes in C order whatever the layout, so the pivots do not depend on it."""
     levels, turns, thresh = [], 0, tol._at(peak)
@@ -467,5 +471,5 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> Nullspa
         peak = _peak(w)
         if peak <= thresh:
             return _nest(levels, (u1, v1), turns)
-        levels.append((u1, u2, v1, v2, turns))
+        levels.append(_row(u1, u2, v1, v2, turns))
         thresh = tol._at(peak)

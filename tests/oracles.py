@@ -259,11 +259,16 @@ def dataclass_repr(obj):
     return f"{type(obj).__qualname__}({body})"
 
 
-def certificate_json_recursive(cert):
-    """The JSON form of a certificate, built recursively level by level."""
+def certificate_json_recursive(cert, level=0):
+    """A certificate in the nested JSON form, built recursively level by
+    level: each n2 level ``{"kind": "n2", "u1": ..., "v2": ..., "inner": ...}``
+    holds the certificate below it."""
     if cert.kind == "n2":
-        vectors = {f: [float(v) for v in getattr(cert, f)] for f in ("u1", "u2", "v1", "v2")}
-        return {"kind": "n2", **vectors, "inner": certificate_json_recursive(cert.inner)}
+        if level == len(cert.levels):
+            return certificate_json_recursive(cert.bottom)
+        row = cert.levels[level]
+        vectors = {f: [float(v) for v in vec] for f, vec in zip(("u1", "u2", "v1", "v2"), row)}
+        return {"kind": "n2", **vectors, "inner": certificate_json_recursive(cert, level + 1)}
     if cert.kind == "n0":
         return {"kind": "n0", "u": [float(v) for v in cert.u], "v": [float(v) for v in cert.v]}
     if cert.kind == "m2":

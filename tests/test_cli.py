@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import ambiconv
-from ambiconv import AmbiguousPair, cli, core, n2_generate, trials
-from ambiconv.cli import MAX_CERT_DEPTH, _cert_json, main
+from ambiconv import AmbiguousPair, certificate_from_json, classify, cli, core, n2_generate, trials
+from ambiconv.cli import main
 from ambiconv.core import matrix_to_json, signal_to_json
-from ambiconv.nullspace import N0Certificate, N2Certificate
 from ambiconv.quotient import QuotientElement, RootFindingError
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +30,25 @@ def write_signal(path, entries):
 def write_matrix(path, entries):
     path.write_text(json.dumps(matrix_to_json(np.asarray(entries, dtype=float))))
     return str(path)
+
+
+# The required options of every command, with values argparse accepts.
+REQUIRED_ARGS = {
+    "convolve": ["--x", "x.json", "--y", "y.json"],
+    "lift": ["--matrix", "w.json"],
+    "basis": ["--m", "3", "--n", "3"],
+    "n0": ["--u", "u.json", "--v", "v.json"],
+    "n2": ["--m", "3", "--n", "3"],
+    "m2": ["--u", "u.json", "--lam", "1.5"],
+    "kernel": ["--m", "3", "--n", "3"],
+    "decompose": ["--input", "w.json"],
+    "classify": ["--matrix", "w.json"],
+    "attack": ["--x", "x.json", "--y", "y.json"],
+    "shift": ["--x", "x.json", "--y", "y.json"],
+    "verify": ["--pair", "pair.json"],
+    "reproduce-paper": [],
+    "trials": ["--suite", "attack"],
+}
 
 
 def run(capsys, argv):
@@ -79,6 +97,28 @@ class TestBasicCommands:
         assert out1 == out2
         obj = json.loads(out1)
         assert obj["certificate"]["kind"] == "n2"
+
+    def test_n2_and_classify_certificates_round_trip(self, tmp_path, capsys):
+        # Both certificates, 38 levels deep, reload to the library's own
+        # level vectors and bottom bit for bit.
+        out = tmp_path / "n2.json"
+        assert main(["n2", "--m", "40", "--n", "43", "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        matrix, generated = n2_generate(40, 43, 0)
+        assert written["matrix"] == matrix_to_json(matrix)
+        path = write_matrix(tmp_path / "w.json", written["matrix"]["entries"])
+        assert main(["classify", "--matrix", path, "--out", str(tmp_path / "c.json")]) == 0
+        classified = json.loads((tmp_path / "c.json").read_text())
+        assert classified["kind"] == "n2"
+        pairs = [(written, generated), (classified, classify(matrix).certificate)]
+        for obj, want in pairs:
+            got = certificate_from_json(obj["certificate"])
+            assert len(got.levels) == len(want.levels) == 38
+            for row, want_row in zip(got.levels, want.levels):
+                assert [v.tobytes() for v in row] == [v.tobytes() for v in want_row]
+            assert got.bottom.u.tobytes() == want.bottom.u.tobytes()
+            assert got.bottom.v.tobytes() == want.bottom.v.tobytes()
+        assert capsys.readouterr().out == ""
 
     def test_m2_command(self, tmp_path, capsys):
         u = write_signal(tmp_path / "u.json", [1.0])
@@ -450,24 +490,6 @@ class TestErrorPaths:
         error = json.loads(err)["error"]
         assert error["code"] == "invalid-input" and "overflows float64" in error["message"]
 
-    def test_certificate_deeper_than_json_allows_is_refused(self, capsys):
-        # n2 at (1001, 1000) nests 998 levels, past what json.dumps can
-        # write: a structured refusal, never a RecursionError traceback.
-        code, out, err = run(capsys, ["n2", "--m", "1001", "--n", "1000"])
-        assert (code, out) == (2, "")
-        error = json.loads(err)["error"]
-        assert error["code"] == "invalid-input" and "998 levels" in error["message"]
-
-    def test_certificate_at_the_depth_bound_is_written(self):
-        one = np.ones(1)
-        cert = N0Certificate(u=one, v=one)
-        for _ in range(MAX_CERT_DEPTH):
-            cert = N2Certificate(u1=one, u2=one, v1=one, v2=one, inner=cert)
-        text = json.dumps(_cert_json(cert), indent=2, sort_keys=True)
-        assert text.count('"n2"') == MAX_CERT_DEPTH
-        with pytest.raises(ValueError, match=f"{MAX_CERT_DEPTH + 1} levels"):
-            _cert_json(N2Certificate(u1=one, u2=one, v1=one, v2=one, inner=cert))
-
     def test_attack_search_failure_exits_1(self, tmp_path, capsys):
         # X(z) = -Y(z) = (1 + z)(1 + z^2): the one angle pair is degenerate.
         x = write_signal(tmp_path / "x.json", [1.0, 1.0, 1.0, 1.0])
@@ -605,6 +627,23 @@ class TestErrorPaths:
             main([command, *inputs, "--tol-abs", "0"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "1e-3"], ["--tol", "-1e-3"], ["--tol-r", "-1e-3"]],
+        ids=["tol", "tol-negative", "tol-r-negative"],
+    )
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+    def test_abbreviated_tolerance_flag_is_unrecognized(self, capsys, command, flags):
+        # No option is read from a prefix of its name: --tol and --tol-r
+        # are not --tol-rel, whatever their value.  argparse refuses them
+        # before any input file is opened.
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED_ARGS[command], *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from ambiconv import (
     AmbiguousPair,
-    LiftedConvOp,
     ToleranceProfile,
-    antidiagonal_shift,
     as_matrix,
     as_signal,
     attack,
@@ -312,14 +310,6 @@ class TestLiftApply:
             gap = np.max(np.abs(lift_apply(outer(x, y)) - convolve(x, y)))
             assert gap <= 1e-12
 
-    def test_operator_validates_shape(self):
-        op = LiftedConvOp(3, 4)
-        assert op.output_len == 6
-        with pytest.raises(ValueError):
-            op.apply(np.zeros((2, 2)))
-        w = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(op.apply(w), lift_apply(w))
-
     @pytest.mark.parametrize("m, n", [(1, 9), (9, 1), (136, 140), (140, 136), (1, 1)])
     def test_lift_is_bincount_byte_for_byte(self, m, n):
         # Same summation order and signed zeros as one bincount over k+l.
@@ -334,16 +324,11 @@ class TestLiftApply:
     def test_overflowing_sums_are_refused(self):
         # Finite input whose sums overflow: a refusal, never inf entries.
         big = np.full((3, 3), 1e308)
-        for apply in (lift_apply, LiftedConvOp(3, 3).apply):
-            with pytest.raises(ValueError, match="overflows? float64: rescale"):
-                apply(big)
+        with pytest.raises(ValueError, match="overflows? float64: rescale"):
+            lift_apply(big)
         # Sums near the limit that do not overflow are still returned.
         assert lift_apply([[1e308, -1e308]]).tolist() == [1e308, -1e308]
         assert lift_apply(big / 10)[2] == 3e307
-
-    def test_operator_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            LiftedConvOp(0, 3)
 
 
 class TestHankelBasis:
@@ -369,26 +354,6 @@ class TestHankelBasis:
             basis = hankel_basis(m, n)
             via_inner = np.array([float(np.sum(s * w)) for s in basis])
             assert np.max(np.abs(via_inner - lift_apply(w))) <= 1e-12
-
-
-class TestAntidiagonalShift:
-    def test_single_cell(self):
-        w1, w2 = antidiagonal_shift([[1.0]])
-        assert np.array_equal(w1, [[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(w2, [[0.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(lift_apply(w1), [0.0, 1.0, 0.0])
-
-    def test_shift_preserves_lift_exactly(self):
-        rng = np.random.default_rng(9)
-        wp = rng.uniform(-1, 1, (2, 3))
-        w1, w2 = antidiagonal_shift(wp)
-        assert np.array_equal(lift_apply(w1), lift_apply(w2))
-        inner = np.concatenate(([0.0], lift_apply(wp), [0.0]))
-        assert np.array_equal(lift_apply(w1), inner)
-
-    def test_zero_block(self):
-        w1, w2 = antidiagonal_shift(np.zeros((3, 3)))
-        assert not w1.any() and not w2.any()
 
 
 class TestOuterAndRank:

@@ -39,17 +39,37 @@ from oracles import (
 )
 
 
+N2_VECTORS = ("u1", "u2", "v1", "v2")
+
+
+def split(cert):
+    """A certificate's n2 rows, top down, and the certificate under them."""
+    if isinstance(cert, N2Certificate):
+        return cert.levels, cert.bottom
+    return (), cert
+
+
 def reference_form(cert):
-    """A package certificate in the oracles' dict form (numpy array values)."""
-    out = top = {}
-    while isinstance(cert, N2Certificate):
-        out.update(kind="n2", u1=cert.u1, u2=cert.u2, v1=cert.v1, v2=cert.v2, inner={})
-        out, cert = out["inner"], cert.inner
-    if isinstance(cert, N0Certificate):
-        out.update(kind="n0", u=cert.u, v=cert.v)
+    """A package certificate in the oracles' nested dict form (numpy array
+    values), built from the bottom up."""
+    levels, bottom = split(cert)
+    if isinstance(bottom, N0Certificate):
+        out = {"kind": "n0", "u": bottom.u, "v": bottom.v}
     else:
-        out.update(kind=cert.kind)
-    return top
+        out = {"kind": bottom.kind}
+    for row in reversed(levels):
+        out = {"kind": "n2", **dict(zip(N2_VECTORS, row)), "inner": out}
+    return out
+
+
+def nested_json(obj):
+    """Flat n2 certificate JSON in the nested form of the recursive oracle."""
+    if obj["kind"] != "n2":
+        return obj
+    out = obj["bottom"]
+    for row in reversed(obj["levels"]):
+        out = {"kind": "n2", **{f: row[f] for f in N2_VECTORS}, "inner": out}
+    return out
 
 
 def assert_same_certificate(got, want):
@@ -65,10 +85,7 @@ def assert_same_certificate(got, want):
 
 
 def certificate_depth(cert):
-    depth = 0
-    while isinstance(cert, N2Certificate):
-        cert, depth = cert.inner, depth + 1
-    return depth
+    return len(split(cert)[0])
 
 
 def stack_depth():
@@ -214,38 +231,34 @@ class TestN2Generate:
 
     def test_nested_certificate_residuals_are_kernel_elements(self):
         _, cert = n2_generate(6, 9, seed=13)
-        depth = 0
-        while isinstance(cert, N2Certificate):
-            inner = np.outer(cert.u1, cert.v1) + np.outer(cert.u2, cert.v2)
+        levels, bottom = split(cert)
+        for u1, u2, v1, v2 in levels:
+            inner = np.outer(u1, v1) + np.outer(u2, v2)
             scale = np.max(np.abs(inner))
             assert np.max(np.abs(lift_apply(inner))) <= 1e-11 * scale
             assert scale > 0
-            cert = cert.inner
-            depth += 1
-        assert isinstance(cert, N0Certificate)
-        assert depth == 4  # min(m, n) - 2 factor-swap levels
+        assert isinstance(bottom, N0Certificate)
+        assert len(levels) == 4  # min(m, n) - 2 factor-swap levels
 
     @pytest.mark.parametrize("m, n", [(16, 20), (24, 28), (32, 36), (64, 68), (68, 64)])
     def test_large_orders_round_trip(self, m, n):
         for seed in range(3):
             matrix, cert = n2_generate(m, n, seed)
             assert rank_estimate(matrix) <= 2
-            recovered, depth = classify(matrix).certificate, 0
-            while isinstance(recovered, N2Certificate):
-                recovered, depth = recovered.inner, depth + 1
-            assert isinstance(recovered, N0Certificate) and depth == min(m, n) - 2
+            levels, recovered = split(classify(matrix).certificate)
+            assert isinstance(recovered, N0Certificate) and len(levels) == min(m, n) - 2
             # The generator's own certificate goes through the brute-force
             # oracle, so generator and classifier do not certify each other.
             # A level's rounding scales with its two blocks, which can be far
             # larger than their sum when its corner is small.
-            level, depth = cert, 0
-            while isinstance(level, N2Certificate):
-                blocks = np.outer(level.u1, level.v1), np.outer(level.u2, level.v2)
+            levels, bottom = split(cert)
+            for k, (u1, u2, v1, v2) in enumerate(levels):
+                blocks = np.outer(u1, v1), np.outer(u2, v2)
                 scale = max(np.max(np.abs(block)) for block in blocks)
-                for element in (certificate_to_matrix(level), blocks[0] + blocks[1]):
+                level = certificate_to_matrix(N2Certificate(levels[k:], bottom))
+                for element in (level, blocks[0] + blocks[1]):
                     assert np.max(np.abs(antidiagonal_sums_brute(element))) <= 1e-12 * scale
-                level, depth = level.inner, depth + 1
-            assert isinstance(level, N0Certificate) and depth == min(m, n) - 2
+            assert isinstance(bottom, N0Certificate) and len(levels) == min(m, n) - 2
 
     def test_transposed_orientation(self):
         matrix, cert = n2_generate(9, 4, seed=3)
@@ -427,8 +440,8 @@ class TestClassify:
             assert isinstance(result.certificate, N2Certificate)
             assert result.refactorization_residual <= 1e-9 * np.max(np.abs(q))
             # the recovered inner residual is a kernel element one dim down
-            rec = result.certificate
-            inner = np.outer(rec.u1, rec.v1) + np.outer(rec.u2, rec.v2)
+            u1, u2, v1, v2 = result.certificate.levels[0]
+            inner = np.outer(u1, v1) + np.outer(u2, v2)
             assert np.max(np.abs(lift_apply(inner))) <= 1e-9 * np.max(np.abs(inner))
 
     def test_zero_first_row_n0_still_classifies(self):
@@ -456,15 +469,12 @@ class TestClassify:
         for m in range(9, 17):
             for n in range(9, 17):
                 for seed in range(5):
-                    cert = classify(n2_generate(m, n, seed)[0]).certificate
-                    depth = 0
-                    while isinstance(cert, N2Certificate):
-                        inner = np.outer(cert.u1, cert.v1) + np.outer(cert.u2, cert.v2)
+                    levels, _ = split(classify(n2_generate(m, n, seed)[0]).certificate)
+                    for depth, (u1, u2, v1, v2) in enumerate(levels):
+                        inner = np.outer(u1, v1) + np.outer(u2, v2)
                         lift = np.max(np.abs(lift_apply(inner)))
                         if lift > 1e-9 * np.max(np.abs(inner)):
                             failures.append((m, n, seed, depth, float(lift)))
-                        cert = cert.inner
-                        depth += 1
         assert not failures
 
     def test_overflowing_sums_are_refused(self):
@@ -538,14 +548,11 @@ class TestClassify:
     def test_certificate_vectors_hold_no_matrix(self, m, n):
         # A vector that views a level's matrix would keep all of it alive.
         for q in (n2_generate(m, n, 3)[0], random_n0(np.random.default_rng(m), m, n)[0]):
-            cert = classify(q).certificate
-            while True:
-                for field in ("u1", "u2", "v1", "v2", "u", "v"):
-                    vec = getattr(cert, field, None)
-                    assert vec is None or vec.base is None or vec.base.ndim == 1
-                if not isinstance(cert, N2Certificate):
-                    break
-                cert = cert.inner
+            levels, bottom = split(classify(q).certificate)
+            vectors = [vec for row in levels for vec in row]
+            vectors += [getattr(bottom, f) for f in ("u", "v") if hasattr(bottom, f)]
+            for vec in vectors:
+                assert vec.base is None or vec.base.ndim == 1
 
     def test_two_row_elements_always_bordered_product(self):
         # both corners vanish yet the element is not raw for m = 2
@@ -555,22 +562,29 @@ class TestClassify:
         assert isinstance(result.certificate, N0Certificate)
 
 
-# One n2 level's vectors, without its "inner".
-ONE_LEVEL = {"kind": "n2", "u1": [1.0], "u2": [1.0], "v1": [1.0], "v2": [1.0]}
+# One n2 level's vectors; ONE_LEVEL is an n2 certificate of it without a bottom.
+ROW = {"u1": [1.0], "u2": [1.0], "v1": [1.0], "v2": [1.0]}
+ONE_LEVEL = {"kind": "n2", "levels": [ROW]}
+RAW = {"kind": "raw"}
+
+
+def n2_json(*rows, bottom):
+    return {"kind": "n2", "levels": list(rows), "bottom": bottom}
 
 
 class TestCertificates:
     def test_json_round_trip_nested(self):
         _, cert = n2_generate(5, 6, seed=8)
         obj = certificate_to_json(cert)
-        assert obj["kind"] == "n2"
-        back = certificate_from_json(obj)
-        assert np.array_equal(back.u1, cert.u1)
-        inner, back_inner = cert.inner, back.inner
-        while isinstance(inner, N2Certificate):
-            assert np.array_equal(back_inner.v2, inner.v2)
-            inner, back_inner = inner.inner, back_inner.inner
-        assert isinstance(back_inner, N0Certificate)
+        assert obj["kind"] == "n2" and len(obj["levels"]) == 3
+        back = certificate_from_json(json.loads(json.dumps(obj)))
+        assert len(back.levels) == len(cert.levels)
+        for row, back_row in zip(cert.levels, back.levels):
+            for vec, back_vec in zip(row, back_row):
+                assert vec.tobytes() == back_vec.tobytes()
+        assert isinstance(back.bottom, N0Certificate)
+        assert back.bottom.u.tobytes() == cert.bottom.u.tobytes()
+        assert back.bottom.v.tobytes() == cert.bottom.v.tobytes()
 
     @pytest.mark.parametrize(
         "kind, q",
@@ -607,31 +621,30 @@ class TestCertificates:
         certs = [generated, classify(matrix).certificate, classify(matrix.T).certificate]
         certs += [M2Certificate(u=np.array([1.0, -2.0]), lam=0.5), RawCertificate()]
         for cert in certs:
-            while True:
-                assert repr(cert) == dataclass_repr(cert)
-                want = json.dumps(certificate_json_recursive(cert))
-                assert json.dumps(certificate_to_json(cert)) == want
-                back = certificate_from_json(json.loads(want))
-                assert json.dumps(certificate_to_json(back)) == want
-                if not isinstance(cert, N2Certificate):
-                    break
-                cert = cert.inner
+            levels, bottom = split(cert)
+            # The certificate from each level down, then the bottom alone.
+            for sub in [N2Certificate(levels[k:], bottom) for k in range(len(levels))] + [bottom]:
+                assert repr(sub) == dataclass_repr(sub)
+                want = json.dumps(certificate_json_recursive(sub))
+                obj = certificate_to_json(sub)
+                assert json.dumps(nested_json(obj)) == want
+                back = certificate_from_json(json.loads(json.dumps(obj)))
+                assert json.dumps(nested_json(certificate_to_json(back))) == want
 
     def test_deep_certificate_helpers_without_recursion(self):
-        # One loop each: 60 spare frames serve 250 levels (JSON) and 1500 (repr).
+        # A flat table: 60 spare frames serve 250 levels (JSON) and 1500 (repr).
         # Each JSON level's blocks have the shape of the level below, as
         # certificate_from_json requires, so the vectors grow by one entry
         # per level: 998 levels, as deep as n2_generate(1001, 1000, 0)'s
         # certificate, would carry its 2 million floats through json.dumps,
-        # and the loops are tested by depth, not width.
-        cert = N0Certificate(u=np.array([0.5]), v=np.array([-1.5]))
-        for k in range(2, 252):
+        # and the table is tested by depth, not width.
+        rows = []
+        for k in range(251, 1, -1):
             a = np.full(k, k / 7.0)
-            cert = N2Certificate(u1=a, u2=-a, v1=a + 1.0, v2=a - 1.0, inner=cert)
+            rows.append((a, -a, a + 1.0, a - 1.0))
+        cert = N2Certificate(tuple(rows), N0Certificate(u=np.array([0.5]), v=np.array([-1.5])))
         one = np.ones(1)
-        chain = M2Certificate(u=one, lam=2.0)
-        for _ in range(1500):
-            chain = N2Certificate(u1=one, u2=-one, v1=one, v2=one, inner=chain)
+        chain = N2Certificate(((one, -one, one, one),) * 1500, M2Certificate(u=one, lam=2.0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 60)
         try:
@@ -644,7 +657,8 @@ class TestCertificates:
         sys.setrecursionlimit(limit + 5000)
         try:
             want = json.dumps(certificate_json_recursive(cert))
-            assert json.dumps(obj) == want and json.dumps(again) == want
+            assert json.dumps(nested_json(obj)) == want
+            assert json.dumps(nested_json(again)) == want
             assert text == dataclass_repr(chain)
         finally:
             sys.setrecursionlimit(limit)
@@ -657,15 +671,24 @@ class TestCertificates:
         "obj, message",
         [
             ({"kind": "n0", "u": [1.0]}, "n0 certificate JSON lacks v (needs u, v)"),
-            ({"kind": "n2"}, "n2 certificate JSON lacks u1, u2, v1, v2, inner"),
-            (ONE_LEVEL, "n2 certificate JSON lacks inner (needs u1, u2, v1, v2, inner)"),
+            ({"kind": "n2"}, "n2 certificate JSON lacks levels, bottom (needs levels, bottom)"),
+            (ONE_LEVEL, "n2 certificate JSON lacks bottom (needs levels, bottom)"),
             ({"kind": "m2", "u": [1.0]}, "m2 certificate JSON lacks lambda (needs u, lambda)"),
             (
-                {**ONE_LEVEL, "inner": {"kind": "m2", "lambda": 2.0}},
+                n2_json(ROW, bottom={"kind": "m2", "lambda": 2.0}),
                 "m2 certificate JSON lacks u (needs u, lambda)",
             ),
+            (
+                n2_json({"u1": [1.0], "v2": [1.0]}, bottom=RAW),
+                "certificate level 1 (n2) lacks u2, v1 (needs u1, u2, v1, v2)",
+            ),
+            # The nested form, one object per level, is not read.
+            (
+                {"kind": "n2", **ROW, "inner": RAW},
+                "n2 certificate JSON lacks levels, bottom (needs levels, bottom)",
+            ),
         ],
-        ids=["n0", "n2", "n2-inner", "m2", "nested-m2"],
+        ids=["n0", "n2", "n2-inner", "m2", "nested-m2", "n2-row", "nested-form"],
     )
     def test_missing_keys_name_the_kind_and_keys(self, obj, message):
         # A ValueError like signal_from_json's, never a bare KeyError.
@@ -676,11 +699,11 @@ class TestCertificates:
         "obj, message",
         [
             (
-                {**ONE_LEVEL, "u2": [1.0, 2.0], "inner": {"kind": "raw"}},
+                n2_json({**ROW, "u2": [1.0, 2.0]}, bottom=RAW),
                 "certificate level 1 (n2): u1 has 1 entries but u2 has 2",
             ),
             (
-                {**ONE_LEVEL, "inner": {**ONE_LEVEL, "v2": [3.0, 4.0], "inner": {"kind": "raw"}}},
+                n2_json(ROW, {**ROW, "v2": [3.0, 4.0]}, bottom=RAW),
                 "certificate level 2 (n2): v1 has 1 entries but v2 has 2",
             ),
             (
@@ -688,7 +711,7 @@ class TestCertificates:
                 "certificate level 1 (m2): lambda must be finite and nonzero, got nan",
             ),
             (
-                {**ONE_LEVEL, "inner": {"kind": "m2", "u": [1.0], "lambda": 0.0}},
+                n2_json(ROW, bottom={"kind": "m2", "u": [1.0], "lambda": 0.0}),
                 "certificate level 2 (m2): lambda must be finite and nonzero, got 0.0",
             ),
             (
@@ -704,26 +727,39 @@ class TestCertificates:
                 "certificate level 1 (m2): u must be nonzero",
             ),
             (
-                {
-                    **ONE_LEVEL,
-                    "v1": [1.0, 2.0],
-                    "v2": [1.0, 2.0],
-                    "inner": {"kind": "n0", "u": [1.0, 2.0, 3.0], "v": [1.0]},
-                },
+                n2_json(
+                    {**ROW, "v1": [1.0, 2.0], "v2": [1.0, 2.0]},
+                    bottom={"kind": "n0", "u": [1.0, 2.0, 3.0], "v": [1.0]},
+                ),
                 "certificate level 2 (n0) describes a 4x2 matrix, but the blocks of level 1 are 1x2",
             ),
             (
-                {**ONE_LEVEL, "inner": {**ONE_LEVEL, "inner": {"kind": "raw"}}},
+                n2_json(ROW, ROW, bottom=RAW),
                 "certificate level 2 (n2) describes a 2x2 matrix, but the blocks of level 1 are 1x1",
             ),
             (
-                {**ONE_LEVEL, "inner": {"kind": "m2", "u": [1.0], "lambda": 2.0}},
+                n2_json(ROW, bottom={"kind": "m2", "u": [1.0], "lambda": 2.0}),
                 "certificate level 2 (m2) describes a 3x3 matrix, but the blocks of level 1 are 1x1",
+            ),
+            (n2_json(bottom=RAW), "certificate level 1 (n2): levels must be a nonempty list"),
+            (
+                {"kind": "n2", "levels": ROW, "bottom": RAW},
+                "certificate level 1 (n2): levels must be a nonempty list",
+            ),
+            (
+                n2_json(ROW, [1.0], bottom=RAW),
+                "certificate level 2 (n2) must be an object with keys u1, u2, v1, v2",
+            ),
+            (
+                n2_json(ROW, bottom=n2_json(ROW, bottom=RAW)),
+                "certificate level 2 (n2) is the bottom of an n2 certificate, "
+                "which must be n0, m2 or raw",
             ),
         ],
         ids=[
             *("n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf", "m2-list-lambda"),
             *("m2-zero-u", "n0-under-n2", "n2-under-n2", "m2-under-n2"),
+            *("no-levels", "levels-not-list", "row-not-object", "n2-bottom"),
         ],
     )
     def test_certificates_no_matrix_can_have_are_refused_at_load(self, obj, message):

@@ -20,7 +20,6 @@ from ambiconv import (
     quotient_decompose,
     rank_estimate,
 )
-from ambiconv.nullspace import _levels
 from ambiconv.trials import sample_signal
 
 POWERS = (-600, -200, -40, 40, 200, 600)
@@ -67,12 +66,16 @@ def kernel_elements():
 KERNEL_ELEMENTS = kernel_elements()
 
 
+def depth(cert):
+    return len(cert.levels) if cert.kind == "n2" else 0
+
+
 @pytest.mark.parametrize("k", POWERS)
 def test_classify_is_scale_equivariant(k):
     for w in KERNEL_ELEMENTS:
         want, got = classify(w), classify(np.ldexp(w, k))
         assert got.certificate.kind == want.certificate.kind
-        assert len(_levels(got.certificate)[0]) == len(_levels(want.certificate)[0])
+        assert depth(got.certificate) == depth(want.certificate)
         if want.certificate.kind != "raw":
             rebuilt = certificate_to_matrix(got.certificate)
             assert np.array_equal(rebuilt, np.ldexp(certificate_to_matrix(want.certificate), k))
