@@ -4,7 +4,7 @@ reference reproduction, and seeded Monte-Carlo property campaigns.
 All commands read and write the JSON wire formats of the library (signals as
 ``{"len": d, "entries": [...]}``, matrices as ``{"m": m, "n": n, "entries":
 [[row], ...]}``).  Output is deterministic for a fixed configuration: JSON is
-dumped with sorted keys, and timing is excluded unless requested.
+dumped on one line with sorted keys, and timing is excluded unless requested.
 
 Exit codes: 0 success, 1 property or check failure (also a numerical failure,
 or a reader that closed the output pipe early), 2 usage error.
@@ -95,17 +95,18 @@ def _load_matrix(path: str):
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    # Refuse before opening --out, so a refused request leaves the file alone.
+    # Refuse and encode before opening --out, so a refused request leaves the
+    # file alone; an indent would make json use its pure-Python encoder.
     if args.format == "csv" and csv_rows is None:
         raise InputError("no-csv", "this command only supports --format json")
+    text = json.dumps(payload, sort_keys=True) + "\n" if args.format == "json" else None
     try:
         fh = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError("bad-output", str(exc), args.out) from exc
     with fh as out:
-        if args.format == "json":
-            out.write(json.dumps(payload, indent=2, sort_keys=True))
-            out.write("\n")
+        if text is not None:
+            out.write(text)
         else:
             writer = csv.writer(out, lineterminator="\n")
             if csv_header:

@@ -60,18 +60,6 @@ class ToleranceProfile:
             raise ValueError(f"rel_tol must be finite and nonnegative, got {value}")
         object.__setattr__(self, "rel_tol", value)
 
-    def threshold(self, *operands) -> float:
-        """``rel_tol`` times the largest |entry| of real, finite operands."""
-        scale = 0.0
-        for op in operands:
-            arr = _real(op, "operand")
-            if arr.size:
-                peak = _peak(arr)
-                if not peak < math.inf:
-                    raise ValueError("operand entries must be finite")
-                scale = max(scale, peak)
-        return self._at(scale)
-
     def _at(self, scale: float) -> float:
         """The threshold ``rel_tol * scale`` at an already computed ``scale``
         (largest |entry|): the one formula behind every tolerance decision."""
@@ -276,7 +264,7 @@ def _rank(w: np.ndarray, thresh: float) -> int:
 
 def signal_to_json(x) -> dict:
     xs = as_signal(x)
-    return {"len": int(xs.size), "entries": [float(v) for v in xs]}
+    return {"len": int(xs.size), "entries": xs.tolist()}
 
 
 def _json_int(value, name: str) -> int:
@@ -300,11 +288,7 @@ def signal_from_json(obj) -> np.ndarray:
 
 def matrix_to_json(w) -> dict:
     ws = as_matrix(w)
-    return {
-        "m": int(ws.shape[0]),
-        "n": int(ws.shape[1]),
-        "entries": [[float(v) for v in row] for row in ws],
-    }
+    return {"m": int(ws.shape[0]), "n": int(ws.shape[1]), "entries": ws.tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -106,16 +106,19 @@ _N2_VECTORS = ("u1", "u2", "v1", "v2")
 _JSON_KEYS = {"n0": ("u", "v"), "n2": ("levels", "bottom"), "m2": ("u", "lambda"), "raw": ()}
 
 
+def _floats(vec) -> list:
+    """A certificate vector as Python floats, in one ``tolist`` call."""
+    return np.asarray(vec, float).tolist()
+
+
 def certificate_to_json(cert: NullspaceCertificate) -> dict:
     if isinstance(cert, N2Certificate):
-        levels = [
-            {f: list(map(float, vec)) for f, vec in zip(_N2_VECTORS, row)} for row in cert.levels
-        ]
+        levels = [{f: _floats(vec) for f, vec in zip(_N2_VECTORS, row)} for row in cert.levels]
         return {"kind": "n2", "levels": levels, "bottom": certificate_to_json(cert.bottom)}
     if isinstance(cert, N0Certificate):
-        return {"kind": "n0", "u": list(map(float, cert.u)), "v": list(map(float, cert.v))}
+        return {"kind": "n0", "u": _floats(cert.u), "v": _floats(cert.v)}
     if isinstance(cert, M2Certificate):
-        return {"kind": "m2", "u": list(map(float, cert.u)), "lambda": float(cert.lam)}
+        return {"kind": "m2", "u": _floats(cert.u), "lambda": float(cert.lam)}
     if isinstance(cert, RawCertificate):
         return {"kind": "raw"}
     raise TypeError(f"not a certificate: {cert!r}")

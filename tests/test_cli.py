@@ -9,7 +9,21 @@ import numpy as np
 import pytest
 
 import ambiconv
-from ambiconv import AmbiguousPair, certificate_from_json, classify, cli, core, n2_generate, trials
+from ambiconv import (
+    AmbiguousPair,
+    M2Certificate,
+    N0Certificate,
+    N2Certificate,
+    attack,
+    certificate_from_json,
+    certificate_to_json,
+    classify,
+    cli,
+    convolve,
+    core,
+    n2_generate,
+    trials,
+)
 from ambiconv.cli import main
 from ambiconv.core import matrix_to_json, signal_to_json
 from ambiconv.quotient import QuotientElement, RootFindingError
@@ -177,6 +191,73 @@ class TestBasicCommands:
         assert json.loads(out)["certifies_unidentifiability"] is False
 
 
+def writer_cases(tmp_path):
+    """Each command's argv and the payload the in-process API builds for it."""
+    x, y = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 2.0, 1.0])
+    xp, yp = write_signal(tmp_path / "x.json", x), write_signal(tmp_path / "y.json", y)
+    matrix, cert = n2_generate(40, 43, 0)
+    result = classify(matrix)
+    return {
+        "convolve": (["convolve", "--x", xp, "--y", yp], signal_to_json(convolve(x, y))),
+        "n2": (
+            ["n2", "--m", "40", "--n", "43"],
+            {"certificate": certificate_to_json(cert), "matrix": matrix_to_json(matrix)},
+        ),
+        "classify": (
+            ["classify", "--matrix", write_matrix(tmp_path / "w.json", matrix)],
+            {
+                "kind": "n2",
+                "certificate": certificate_to_json(result.certificate),
+                "refactorization_residual": result.refactorization_residual,
+            },
+        ),
+        "attack": (["attack", "--x", xp, "--y", yp], attack(x, y).to_json()),
+        "trials": (
+            ["trials", "--suite", "attack", "--n", "50"],
+            trials.run_suite("attack", n_trials=50).to_json(),
+        ),
+    }
+
+
+class TestWriter:
+    """Every command writes one line, the sorted-key compact dump of its
+    payload, and --out holds the same bytes as stdout."""
+
+    @pytest.mark.parametrize("command", ["convolve", "n2", "classify", "attack", "trials"])
+    def test_output_is_the_compact_dump_of_the_api_payload(self, command, tmp_path, capsys):
+        argv, payload = writer_cases(tmp_path)[command]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        path = tmp_path / "out.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+        assert capsys.readouterr().out == ""
+
+    def test_payload_floats_keep_their_bits(self):
+        special = [-0.0, 5e-324, 1.5]
+        want = [v.hex() for v in special]
+        vec = np.array(special)
+        payloads = [
+            (signal_to_json(vec), lambda p: [p["entries"]]),
+            (matrix_to_json(vec[None, :]), lambda p: p["entries"]),
+            (
+                certificate_to_json(N0Certificate(u=vec, v=vec)),
+                lambda p: [p["u"], p["v"]],
+            ),
+            (certificate_to_json(M2Certificate(u=vec, lam=1.5)), lambda p: [p["u"]]),
+            (
+                certificate_to_json(N2Certificate(((vec, vec, vec, vec),), N0Certificate(vec, vec))),
+                lambda p: [*p["levels"][0].values(), p["bottom"]["u"], p["bottom"]["v"]],
+            ),
+        ]
+        for payload, vectors in payloads:
+            for parsed in (payload, json.loads(json.dumps(payload, sort_keys=True))):
+                for entries in vectors(parsed):
+                    assert [type(v) for v in entries] == [float] * 3
+                    assert [v.hex() for v in entries] == want
+
+
 class TestReproduceCommand:
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, ["reproduce-paper"])
@@ -293,7 +374,10 @@ class TestTrialsCommand:
     def test_exact_reports_are_pinned(self, argv, recorded, capsys):
         code, out, _ = run(capsys, ["trials", "--suite", *argv.split()])
         assert code == 0
-        assert out == (DATA / recorded).read_text()
+        # The data files hold the indented reports of an earlier writer; the
+        # compact dump of their values is still an exact byte pin, since
+        # Python's float repr round-trips.
+        assert out == json.dumps(json.loads((DATA / recorded).read_text()), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv", sorted(TRIALS_LAYOUT))
     def test_report_layout_is_pinned(self, argv, capsys):

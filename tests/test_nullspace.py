@@ -394,7 +394,7 @@ class TestMembership:
                     cases += [n0_element(u, v), n2_generate(*shape, int(rng.integers(2**32)))[0]]
         wants = []
         for w in cases:
-            thresh = core.DEFAULT_TOL.threshold(w)
+            thresh = core.DEFAULT_TOL.rel_tol * float(np.max(np.abs(w)))
             want = np.max(np.abs(lift_apply(w))) <= thresh and core._rank(w, thresh) <= 2
             wants.append(want)
         assert 0 < sum(wants) < len(wants)
