@@ -127,8 +127,8 @@ def _collinearity(av: np.ndarray, bv: np.ndarray, peak_a: float) -> float:
         av = np.ldexp(av, -exp_a)
     if exp_b:
         bv = np.ldexp(bv, -exp_b)
-    na, nb = math.sqrt(float(av @ av)), math.sqrt(float(bv @ bv))
-    return min(1.0, abs(float(av @ bv)) / (na * nb))
+    na, nb = math.sqrt(float(av.dot(av))), math.sqrt(float(bv.dot(bv)))
+    return min(1.0, abs(float(av.dot(bv))) / (na * nb))
 
 
 def rotational_family(
@@ -221,11 +221,14 @@ def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
 
 def _outputs(x, y, x_alt, y_alt) -> tuple[float, float, float]:
     """The largest |difference| of ``z = x * y`` and ``z_alt = x_alt * y_alt``
-    (trusted arrays), then the largest |entry| of each.  A pair is refused if
+    (trusted arrays, ``x`` as long as ``x_alt``, ``y`` as ``y_alt``), then the
+    largest |entry| of each, both from one reduction over the two outputs
+    side by side, NaN for any NaN entry as in ``_peak``.  A pair is refused if
     z, z_alt or their difference overflows; the difference can overflow only
     where the two peaks sum to inf (or NaN), so only there is it watched."""
     z, z_alt = _convolve(x, y), _convolve(x_alt, y_alt)
-    peak, peak_alt = _peak(z), _peak(z_alt)
+    both = np.abs(np.concatenate((z, z_alt)))
+    peak, peak_alt = np.maximum.reduceat(both, (0, z.size)).tolist()
     if peak + peak_alt < math.inf:
         return _peak(z - z_alt), peak, peak_alt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,7 +276,14 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     convolution overflows is refused with ``ValueError``.
     """
     (xs, x_peak), (ys, y_peak) = _signal(x), _signal(y)
-    tol = tol or DEFAULT_TOL
+    return _attack(xs, x_peak, ys, y_peak, tol or DEFAULT_TOL)
+
+
+def _attack(
+    xs: np.ndarray, x_peak: float, ys: np.ndarray, y_peak: float, tol: ToleranceProfile
+) -> AmbiguousPair:
+    """``attack`` of frozen 1-D float64 arrays with finite entries, ``x_peak``
+    and ``y_peak`` their largest |entries|: the pair holds them as given."""
     m, n = xs.size, ys.size
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
@@ -282,15 +292,15 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
-    x_roots = sorted(_candidates(xs, x_peak, tol), key=lambda c: c[0])
-    y_roots = sorted(_candidates(ys, y_peak, tol), key=lambda c: c[0])
+    x_factors = sorted(_candidates(xs, x_peak, tol), key=lambda c: c[0])
+    y_factors = sorted(_candidates(ys, y_peak, tol), key=lambda c: c[0])
 
     # The first combination under the bound wins.  Two decompositions can
     # share an angle by accident, so until then keep the least-collinear
     # valid combination as a fallback.
     best = None
-    for _, theta, u in x_roots:
-        for _, phi, v in y_roots:
+    for _, theta, u in x_factors:
+        for _, phi, v in y_factors:
             if min(abs(math.cos(phi)), abs(math.sin(phi - theta))) <= DEGENERACY_EPS:
                 continue
             x_alt = _bordered(u, phi)
@@ -302,7 +312,8 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     if best is None:
         raise AttackSearchError(
             "no valid angle combination: "
-            f"{len(x_roots)} real roots of x, {len(y_roots)} of y, "
+            f"{len(x_factors)} factors of x and {len(y_factors)} of y kept "
+            "(distinct real roots whose division remainder is within tolerance), "
             f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
     coll, x_alt, y_alt = best

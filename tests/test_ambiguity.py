@@ -21,7 +21,13 @@ from ambiconv import (
     verify_pair,
 )
 from ambiconv import trials
-from ambiconv.ambiguity import ATTACK_COLLINEARITY_BOUND, COLLINEARITY_MARGIN, DEGENERACY_EPS
+from ambiconv.ambiguity import (
+    ATTACK_COLLINEARITY_BOUND,
+    COLLINEARITY_MARGIN,
+    DEGENERACY_EPS,
+    _collinearity,
+    _outputs,
+)
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
 from ambiconv.trials import ATTACK_RESIDUAL_REL, attack_suite, sample_signal, trial_rng
 from oracles import convolve_brute
@@ -319,13 +325,13 @@ class TestAttack:
         # Residuals at exactly 1e-8 max|x * y| exceed the end-product bound
         # wherever an interior entry is the largest, and must still pass;
         # one ulp above must fail everywhere.
-        def attack_at_bound(x, y, tol):
+        def attack_at_bound(x, x_peak, y, y_peak, tol):
             residual = ATTACK_RESIDUAL_REL * float(np.abs(np.convolve(x, y)).max())
             if above:
                 residual = math.nextafter(residual, math.inf)
             return AmbiguousPair(x, y, x, y, residual, 0.5)
 
-        monkeypatch.setattr(trials, "attack", attack_at_bound)
+        monkeypatch.setattr(trials, "_attack", attack_at_bound)
         rows = attack_suite(200, 1).rows
         assert [row.success for row in rows] == [success] * 200
 
@@ -354,8 +360,17 @@ class TestAttack:
     def test_no_valid_combination_is_attack_search_error(self):
         # X(z) = -Y(z) = (1 + z)(1 + z^2): one shared real root, so the only
         # angle pair has phi == theta and is degenerate.
-        with pytest.raises(AttackSearchError, match="1 real roots of x, 1 of y"):
+        with pytest.raises(AttackSearchError, match="1 factors of x and 1 of y kept"):
             attack([1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0])
+
+    def test_search_error_counts_kept_factors_not_real_roots(self):
+        # x has the real root -0.908..., but at rel_tol = 0 its division
+        # remainder, a rounding error, is over the threshold: x keeps no
+        # factor, while y keeps its one.
+        x, y = [1.0, 0.3, -0.7, 0.2], [0.5, 1.0, -0.25, 0.75]
+        assert sum(abs(r.imag) == 0.0 for r in np.roots(x[::-1])) == 1
+        with pytest.raises(AttackSearchError, match="0 factors of x and 1 of y kept"):
+            attack(x, y, ToleranceProfile(rel_tol=0.0))
 
     def test_rejects_odd_or_small_orders(self):
         with pytest.raises(ValueError):
@@ -456,6 +471,32 @@ class TestVerifyPair:
         obj = {**shift_ambiguity([1.0, 0.0], [0.0, 2.0]).to_json(), field: value}
         with pytest.raises(ValueError, match=f'pair JSON "{field}" must be a real number'):
             AmbiguousPair.from_json(obj)
+
+
+class TestPairLayer:
+    """The private pair measurements, bit for bit against plain numpy."""
+
+    @pytest.mark.parametrize("exp", [-600, 600])
+    def test_collinearity_is_the_scaled_cosine(self, exp):
+        rng = np.random.default_rng(28)
+        for d in range(1, 131):
+            a, b = (np.ldexp(rng.uniform(-1.0, 1.0, d), exp) for _ in range(2))
+            peak_a, peak_b = float(np.abs(a).max()), float(np.abs(b).max())
+            sa = np.ldexp(a, -math.frexp(peak_a)[1])
+            sb = np.ldexp(b, -math.frexp(peak_b)[1])
+            cosine = abs(sa @ sb) / (np.linalg.norm(sa) * np.linalg.norm(sb))
+            assert _collinearity(a, b, peak_a) == min(1.0, float(cosine))
+
+    @pytest.mark.parametrize("exp", [-600, 600])
+    def test_outputs_are_the_three_peaks(self, exp):
+        rng = np.random.default_rng(28)
+        for d in range(1, 131):
+            n = int(rng.integers(1, 131))
+            x, x_alt = (np.ldexp(rng.uniform(-1.0, 1.0, d), exp) for _ in range(2))
+            y, y_alt = (rng.uniform(-1.0, 1.0, n) for _ in range(2))
+            z, z_alt = np.convolve(x, y), np.convolve(x_alt, y_alt)
+            expected = tuple(float(np.abs(v).max()) for v in (z - z_alt, z, z_alt))
+            assert _outputs(x, y, x_alt, y_alt) == expected
 
 
 class TestCollinearity:
