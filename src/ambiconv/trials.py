@@ -3,8 +3,13 @@
 Five suites: attack success, quotient cardinality and round-trip, kernel
 element membership across the constructor grid, kernel dimension audit, and
 the two-row structural check.  Per-trial randomness derives from the pair
-(seed, trial index), so each trial, and so any failure row, is reproducible
-from (seed, index) alone.
+(seed, trial index): trial ``k`` of a campaign at ``seed`` draws from
+``trial_rng(seed, k)``, which is ``np.random.default_rng([seed, k])``, so
+each trial, and so any failure row, is reproducible from (seed, index)
+alone.  A campaign derives all of its trial generators in one pass: it runs
+numpy's ``SeedSequence`` hash as uint32 array operations over a chunk of
+indices at a time, and seeds each trial's ``PCG64`` with its row, which
+gives exactly the stream of ``trial_rng(seed, k)``.
 
 Each suite draws its trials in order and hands each one, as it is drawn, to
 one recorder: it times the trial's check, records a check that raises as a
@@ -20,9 +25,12 @@ that only the public ``attack`` needs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +133,103 @@ def _json_float(value: float) -> float | None:
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of trial ``index`` in a campaign at ``seed``:
+    ``np.random.default_rng([seed, index])``.  Row ``k`` of ``trials --seed s``
+    reruns from ``trial_rng(s, k)`` alone; a campaign derives the same
+    generators for all of its trials in one pass."""
     return np.random.default_rng([seed, index])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, mixed under these constants, then expanded to the PCG64 state.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_SEED_CHUNK = 1024
+
+
+def _hash_steps(const: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The hash constants: step ``k`` xors with ``c_k`` and multiplies by
+    ``c_(k+1) = c_k * mult mod 2**32``."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hash(value: np.ndarray, steps) -> np.ndarray:
+    # An array operation wraps silently; a numpy uint32 scalar would warn.
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """Row ``k`` is ``SeedSequence(entropy[k]).generate_state(4, np.uint64)``,
+    for a ``(rows, words)`` uint32 array of entropy words."""
+    words = list(entropy.T)
+    words += [np.zeros(len(entropy), np.uint32)] * (_POOL - len(words))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(w, steps) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(w, steps))
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = np.stack([_hash(pool[i % _POOL], steps) for i in range(2 * _POOL)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_seed():
+    """A seed sequence that hands ``PCG64`` a state computed beforehand.
+    Built at the first campaign, so importing the package does not load
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for its four uint64 words
+
+    return StateSeed
+
+
+def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """``trial_rng(seed, k)`` for ``k`` in ``range(count)``, each seeded from
+    its row of one vectorized pass over a chunk of indices."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if count > 2**32:
+        # an index of 2**32 or more is two entropy words, not one
+        raise ValueError(f"a campaign seeds at most 2**32 trials, got {count}")
+    from numpy.random import PCG64, Generator
+
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    state_seed = _state_seed()
+    for start in range(0, count, _SEED_CHUNK):
+        stop = min(start + _SEED_CHUNK, count)
+        entropy = np.empty((stop - start, len(seed_words) + 1), np.uint32)
+        entropy[:, :-1] = seed_words
+        entropy[:, -1] = np.arange(start, stop)
+        for state in _pcg64_states(entropy):
+            yield Generator(PCG64(state_seed(state)))
 
 
 def sample_signal(rng: np.random.Generator, size: int, min_endpoint: float = 0.1) -> np.ndarray:
@@ -161,8 +265,7 @@ def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) 
     tol = tol or DEFAULT_TOL
     report = TrialReport(suite="attack", seed=seed)
     even = np.arange(4, 17, 2)
-    for i in range(n_trials):
-        rng = trial_rng(seed, i)
+    for i, rng in enumerate(_trial_rngs(seed, n_trials)):
         m, n = int(even[rng.integers(even.size)]), int(even[rng.integers(even.size)])
         x = sample_signal(rng, m)
         y = sample_signal(rng, n)
@@ -200,8 +303,8 @@ def quotient_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None
         errs = [float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w))) for e in elements]
         return errs, float(np.max(np.abs(w)))
 
-    for i in range(n_trials):
-        rng = trial_rng(seed, i)
+    rngs = _trial_rngs(seed, n_trials + max(1, n_trials // 5))
+    for i, rng in enumerate(itertools.islice(rngs, n_trials)):
         d = dims[rng.integers(len(dims))]
         w = rng.uniform(-1.0, 1.0, d)
         for end in (0, d - 1):
@@ -217,8 +320,7 @@ def quotient_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None
 
         _record(report, i, {"d": d}, check, dump)
 
-    for i in range(n_trials, n_trials + max(1, n_trials // 5)):
-        rng = trial_rng(seed, i)
+    for i, rng in enumerate(rngs, n_trials):
         d = dims[rng.integers(len(dims))]
         w_star = sample_signal(rng, d - 1)
         gamma = rng.uniform(0.2, np.pi / 2 - 0.2) + rng.integers(0, 4) * np.pi / 2
@@ -244,9 +346,9 @@ def nullspace_suite(
     """Constructor grid: every output must lift to ~0 and have rank <= 2."""
     tol = tol or DEFAULT_TOL
     report = TrialReport(suite="nullspace", seed=seed)
-    grid = itertools.product(range(2, mmax + 1), range(2, nmax + 1), range(draws))
-    for index, (m, n, k) in enumerate(grid):
-        rng = trial_rng(seed, index)
+    axes = range(2, mmax + 1), range(2, nmax + 1), range(draws)
+    rngs = _trial_rngs(seed, math.prod(map(len, axes)))
+    for index, ((m, n, k), rng) in enumerate(zip(itertools.product(*axes), rngs)):
         candidates = [
             ("n0", n0_element(rng.uniform(-1, 1, m - 1), rng.uniform(-1, 1, n - 1))),
             ("n2", n2_generate(m, n, seed=int(rng.integers(2**32)))[0]),

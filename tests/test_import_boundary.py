@@ -1,4 +1,6 @@
 """No command imports scipy: numpy is the package's one numeric backend.
+Importing the package does not load ``numpy.random`` either: only a command
+that draws loads it.
 
 The check runs in a fresh interpreter, since this test process has imported
 scipy already (``oracles`` does), with ``sys.modules["scipy"] = None`` so that
@@ -17,16 +19,18 @@ import ambiconv
 from ambiconv import attack, n2_generate
 from ambiconv.core import matrix_to_json, signal_to_json
 
-# Blocks scipy, then runs each argv through cli.main and prints the exit codes.
+# Blocks scipy, imports the package, then runs each argv through cli.main and
+# prints whether the import loaded numpy.random, then the exit codes.
 CHILD = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
-import ambiconv.cli
+import ambiconv, ambiconv.cli
+random_at_import = "numpy.random" in sys.modules
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(ambiconv.cli.main(argv))
-print(json.dumps(codes))
+print(json.dumps([random_at_import, codes]))
 """
 
 
@@ -66,4 +70,4 @@ def test_no_command_imports_scipy(tmp_path):
         timeout=120,
         check=True,
     )
-    assert json.loads(done.stdout) == [0] * len(commands)
+    assert json.loads(done.stdout) == [False, [0] * len(commands)]
