@@ -19,6 +19,7 @@ just the inherent scaling equivalence and never certify).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -292,8 +293,8 @@ def _attack(
     # Well-conditioned factors first: the certificate pair is verified by
     # recomputing convolutions, whose float error grows with the factor
     # magnitudes, so small-dynamic-range factors give the sharpest residual.
-    x_factors = sorted(_candidates(xs, x_peak, tol), key=lambda c: c[0])
-    y_factors = sorted(_candidates(ys, y_peak, tol), key=lambda c: c[0])
+    x_factors = sorted(_candidates(xs, x_peak, tol), key=operator.itemgetter(0))
+    y_factors = sorted(_candidates(ys, y_peak, tol), key=operator.itemgetter(0))
 
     # The first combination under the bound wins.  Two decompositions can
     # share an angle by accident, so until then keep the least-collinear

@@ -147,7 +147,7 @@ def _cmd_n0(args) -> int:
 
 
 def _cmd_n2(args) -> int:
-    matrix, cert = n2_generate(args.m, args.n, seed=args.seed, tol=args.tol)
+    matrix, cert = n2_generate(args.m, args.n, seed=args.seed)
     _emit({"certificate": certificate_to_json(cert), "matrix": matrix_to_json(matrix)}, args)
     return EXIT_OK
 

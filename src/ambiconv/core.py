@@ -5,10 +5,14 @@ of its anti-diagonal sums; on a rank-one matrix ``outer(x, y)`` it reproduces
 the linear convolution ``convolve(x, y)``.  Everything here is pure and
 operates on immutable float64 arrays; integer-valued inputs stay exact
 because all values remain far below 2**53.  Both primitives are numpy only:
-the one ``np.correlate`` call ``np.convolve`` makes, and one column sum over
-a skewed copy of the matrix; the rank counts singular values from one LAPACK
+the one correlation ``np.convolve`` makes, and one column sum over a skewed
+copy of the matrix; the rank counts singular values from one LAPACK
 ``dgesdd`` call through numpy's own SVD gufunc, so no path through the
-package loads scipy.
+package loads scipy.  Two private numpy entry points skip Python wrappers,
+with the same bits: the gufuncs of ``numpy.linalg._umath_linalg`` behind
+``np.linalg.svd`` and ``eigvals``, and ``numpy._core.multiarray.correlate2``
+(mode 2), the C function ``np.correlate(a, v, "full")`` calls after its
+``array_function_dispatch`` wrapper.
 
 Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import correlate2 as _correlate2
 from numpy.linalg._umath_linalg import svd as _svd
 
 
@@ -157,7 +162,7 @@ def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     the lengths are equal), without its argument handling."""
     if v.size > a.size:
         a, v = v, a
-    return np.correlate(a, v[::-1], "full")
+    return _correlate2(a, v[::-1], 2)  # np.correlate(a, v[::-1], "full")
 
 
 def outer(x, y) -> np.ndarray:
@@ -215,8 +220,9 @@ def hankel_basis(m: int, n: int) -> list[np.ndarray]:
 
     Element j (0-based) has ones exactly on the j-th anti-diagonal, so
     ``lift_apply(W)[j] == <basis[j], W>`` (trace inner product) and the
-    supports are pairwise disjoint.
+    supports are pairwise disjoint; ``m`` and ``n`` are exact integers.
     """
+    m, n = _exact_int(m, "m"), _exact_int(n, "n")
     if m < 1 or n < 1:
         raise ValueError("dimensions must be >= 1")
     rows = np.arange(m)[:, None]
@@ -267,8 +273,8 @@ def signal_to_json(x) -> dict:
     return {"len": int(xs.size), "entries": xs.tolist()}
 
 
-def _json_int(value, name: str) -> int:
-    """An integer field of a JSON object, read exactly (``4.0`` passes): ``int``
+def _exact_int(value, name: str) -> int:
+    """An integer argument or JSON field, read exactly (``4.0`` passes): ``int``
     would read ``4.5`` or ``True`` and refuse ``[4]`` with a bare ``TypeError``."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -281,7 +287,7 @@ def signal_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "entries" not in obj or "len" not in obj:
         raise ValueError('signal JSON must be {"len": d, "entries": [...]}')
     x = as_signal(obj["entries"])
-    if _json_int(obj["len"], 'signal JSON "len"') != x.size:
+    if _exact_int(obj["len"], 'signal JSON "len"') != x.size:
         raise ValueError(f'signal JSON "len" {obj["len"]} != entry count {x.size}')
     return x
 
@@ -295,6 +301,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('matrix JSON must be {"m": m, "n": n, "entries": [[...], ...]}')
     w = as_matrix(obj["entries"])
-    if (_json_int(obj["m"], 'matrix JSON "m"'), _json_int(obj["n"], 'matrix JSON "n"')) != w.shape:
+    if (_exact_int(obj["m"], 'matrix JSON "m"'), _exact_int(obj["n"], 'matrix JSON "n"')) != w.shape:
         raise ValueError(f'matrix JSON dims ({obj["m"]}, {obj["n"]}) != entry shape {w.shape}')
     return w

@@ -37,6 +37,7 @@ from .core import (
     ToleranceProfile,
     _checked_lift,
     _convolve,
+    _exact_int,
     _finite_scalar,
     _matrix,
     _peak,
@@ -297,23 +298,23 @@ def _nest(levels: list, bottom, turns: int) -> NullspaceCertificate:
     return N2Certificate(tuple(levels), cert) if levels else cert
 
 
-def n2_generate(
-    m: int, n: int, seed: int, tol: ToleranceProfile | None = None
-) -> tuple[np.ndarray, NullspaceCertificate]:
+def n2_generate(m: int, n: int, seed: int) -> tuple[np.ndarray, NullspaceCertificate]:
     """Seeded random element of the dimension-recursive kernel family.
 
     Built on the factor-swap identity ``P (B Q) - Q (B P) = 0``: with ``p``
     and ``q`` of length ``k = min(m, n)`` and ``b`` of length ``|n-m| + 1``
     drawn from ``default_rng(seed)`` (the end coefficients of ``p`` and ``q``
     fixed to (1, 0) and (0, 1)), ``W = outer(p, b*q) - outer(q, b*p)`` lifts
-    to zero and has rank at most two.  For ``m > n`` the ``(n, m)``
-    element is transposed, its certificate built in that form.  Returns the
+    to zero and has rank at most two; ``m``, ``n`` and ``seed`` are exact
+    integers.  For ``m > n`` the ``(n, m)`` element is transposed, its
+    certificate built in that form.  Returns the
     matrix together with its certificate, ``min(m, n) - 2`` levels over a
     bordered product; the matrix is rebuilt from the certificate, so the two
     agree bit for bit.  One flat loop makes the levels, in O(mn) memory at
-    any order.  The construction is exact, so ``tol`` does not
-    affect generation, and neither does the ``--tol-rel`` flag of ``ambiconv n2``.
+    any order.  The construction is exact, so the ``--tol-rel`` flag of
+    ``ambiconv n2`` does not affect generation.
     """
+    m, n, seed = _exact_int(m, "m"), _exact_int(n, "n"), _exact_int(seed, "seed")
     if m < 2 or n < 2:
         raise ValueError("dimensions must be >= 2")
     k = min(m, n)  # p, q and then b, drawn as one array
@@ -372,8 +373,10 @@ def kernel_basis(m: int, n: int) -> list[np.ndarray]:
     because the constraint rows have pairwise disjoint supports: within each
     anti-diagonal the first cell is the pivot, and every further cell yields
     one basis element (+1 on the cell, -1 on the pivot).  Exactly
-    ``mn - (m+n-1)`` elements; empty for ``m == 1`` or ``n == 1``.
+    ``mn - (m+n-1)`` elements; empty for ``m == 1`` or ``n == 1``.  ``m``
+    and ``n`` are exact integers.
     """
+    m, n = _exact_int(m, "m"), _exact_int(n, "n")
     if m < 1 or n < 1:
         raise ValueError("dimensions must be >= 1")
     basis = []

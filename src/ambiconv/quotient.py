@@ -21,7 +21,6 @@ Each root gives one pair plus, in ``quotient_decompose``, its mirror
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
-from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _signal, as_signal
+from .core import DEFAULT_TOL, ToleranceProfile, _correlate2, _finite_scalar, _signal, as_signal
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -37,12 +36,6 @@ from .core import DEFAULT_TOL, ToleranceProfile, _finite_scalar, _signal, as_sig
 # the band keeps it, and the division remainder decides whether it is a factor.
 _REAL_BAND = 1e-6
 _ROOT_MERGE = 1e-8
-
-# Companion skeletons are cached up to order 90 (90 * 90 * 8 bytes, under
-# 64 KiB each) and for at most 16 orders, so the cache stays under 1 MiB;
-# larger orders, where dgeev's own cost dwarfs the allocation, build theirs.
-_SKELETON_MAX_ORDER = 90
-_SKELETON_CACHE_SIZE = 16
 
 
 class RootFindingError(RuntimeError):
@@ -58,13 +51,10 @@ class QuotientElement:
     gamma: float
 
 
-def reconstruct(w_star, gamma: float, d: int | None = None) -> np.ndarray:
-    """Forward map: w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma);
-    ``ValueError`` if it overflows float64."""
-    ws = as_signal(w_star)
-    if d is not None and d != ws.size + 1:
-        raise ValueError(f"w_star has {ws.size} entries, expected d-1 = {d - 1}")
-    out = _bordered(ws, _finite_scalar(gamma, "gamma"))
+def reconstruct(w_star, gamma: float) -> np.ndarray:
+    """Forward map: w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma), one
+    entry longer than ``w_star``; ``ValueError`` if it overflows float64."""
+    out = _bordered(as_signal(w_star), _finite_scalar(gamma, "gamma"))
     if not np.isfinite(out).all():
         raise ValueError("the reconstruction overflows float64: rescale w_star")
     out.flags.writeable = False
@@ -76,7 +66,7 @@ def _bordered(ws, gamma: float) -> np.ndarray:
     2-tap correlation with the reversed taps, bit for bit
     ``np.convolve(ws, (cos(gamma), -sin(gamma)))`` at every length (each
     entry is one product or the sum of two), without its argument handling."""
-    return np.correlate(ws, np.array((-math.sin(gamma), math.cos(gamma))), "full")
+    return _correlate2(ws, np.array((-math.sin(gamma), math.cos(gamma))), 2)
 
 
 def quotient_decompose(w, tol: ToleranceProfile | None = None) -> list[QuotientElement]:
@@ -168,29 +158,23 @@ def _real_roots(ws: np.ndarray, peak: float) -> list[float]:
     eigenvalues come from the gufunc behind ``np.linalg.eigvals``; a ``dgeev``
     failure is its NaN output, or the exception a strict warnings or
     ``np.seterr`` policy makes of its invalid-value signal."""
-    if not math.isfinite(peak / abs(float(ws[-1]))):
+    lead = ws.item(-1)
+    if not math.isfinite(peak / abs(lead)):
         raise RootFindingError(
             "companion eigenvalue solver failed: Array must not contain infs or NaNs"
         )
     n = ws.size - 1
-    comp = _skeleton(n).copy() if n <= _SKELETON_MAX_ORDER else np.eye(n, k=-1)
-    np.divide(ws[-2::-1], -ws[-1], out=comp[0])
+    comp = np.zeros(n * n)
+    comp[n :: n + 1] = 1.0  # the unit subdiagonal, without np.eye's Python wrapper
+    comp = comp.reshape(n, n)
+    np.divide(ws[-2::-1], -lead, out=comp[0])
     try:
         eig = _eigvals(comp, signature="d->D").tolist()
     except (FloatingPointError, RuntimeWarning):
         eig = [math.nan]  # as numpy's own failure output
     if eig[0] != eig[0]:
         raise RootFindingError("companion eigenvalue solver failed: Eigenvalues did not converge")
-    return sorted(z.real for z in eig if abs(z.imag) <= _REAL_BAND * (1.0 + abs(z.real)))
-
-
-@functools.lru_cache(maxsize=_SKELETON_CACHE_SIZE)
-def _skeleton(n: int) -> np.ndarray:
-    """The companion skeleton of order n, cached read-only: callers copy it
-    and write the first row of the copy."""
-    comp = np.eye(n, k=-1)
-    comp.flags.writeable = False
-    return comp
+    return sorted([z.real for z in eig if abs(z.imag) <= _REAL_BAND * (1.0 + abs(z.real))])
 
 
 def _divide_low(w: list[float], a: float, b: float) -> tuple[list[float], float]:

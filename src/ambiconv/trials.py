@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import COLLINEARITY_MARGIN, _attack
-from .core import DEFAULT_TOL, ToleranceProfile, _lift, _peak, _rank
+from .core import DEFAULT_TOL, ToleranceProfile, _lift, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
 
@@ -232,12 +232,12 @@ def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
             yield Generator(PCG64(state_seed(state)))
 
 
-def sample_signal(rng: np.random.Generator, size: int, min_endpoint: float = 0.1) -> np.ndarray:
+def sample_signal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Entries i.i.d. uniform on [-1, 1]; endpoints resampled until their
-    magnitude exceeds ``min_endpoint``."""
+    magnitude exceeds 0.1."""
     vec = rng.uniform(-1.0, 1.0, size)
     for end in (0, size - 1):
-        while abs(vec[end]) <= min_endpoint:
+        while abs(vec[end]) <= 0.1:
             vec[end] = rng.uniform(-1.0, 1.0)
     return vec
 
@@ -264,9 +264,8 @@ def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) 
     """Adversarial pairs for random even dimensions in [4, 16]."""
     tol = tol or DEFAULT_TOL
     report = TrialReport(suite="attack", seed=seed)
-    even = np.arange(4, 17, 2)
     for i, rng in enumerate(_trial_rngs(seed, n_trials)):
-        m, n = int(even[rng.integers(even.size)]), int(even[rng.integers(even.size)])
+        m, n = 4 + 2 * int(rng.integers(7)), 4 + 2 * int(rng.integers(7))
         x = sample_signal(rng, m)
         y = sample_signal(rng, n)
         x.flags.writeable = y.flags.writeable = False
@@ -274,8 +273,9 @@ def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) 
 
         def check():
             # The draws are the campaign's own finite arrays, frozen above, so
-            # the attack skips the public boundary's copy and validation.
-            pair = _attack(x, _peak(x), y, _peak(y), tol)
+            # the attack skips the public boundary's copy and validation, and
+            # reads each peak off the floats the row's dump holds anyway.
+            pair = _attack(x, max(map(abs, xl)), y, max(map(abs, yl)), tol)
             # The end entries of np.convolve(x, y) are the single products
             # x(1) y(1) and x(m) y(n), so a residual within this bound is
             # within the full one, max|x * y|, which is computed otherwise.

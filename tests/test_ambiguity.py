@@ -25,9 +25,11 @@ from ambiconv.ambiguity import (
     ATTACK_COLLINEARITY_BOUND,
     COLLINEARITY_MARGIN,
     DEGENERACY_EPS,
+    _attack,
     _collinearity,
     _outputs,
 )
+from ambiconv.core import _peak
 from ambiconv.reference import THETA, PHI, X1, X2, Y1, Y2, X3_PRINTED, Y4_PRINTED
 from ambiconv.trials import ATTACK_RESIDUAL_REL, attack_suite, sample_signal, trial_rng
 from oracles import convolve_brute
@@ -305,9 +307,17 @@ class TestAttack:
     def test_suite_rows_match_the_full_scale_rule(self, seed):
         # The campaign accepts on the end products x(1) y(1), x(m) y(n)
         # first; every row must still be the full-scale rule's, recomputed
-        # through the public attack.
+        # through the public attack.  The campaign also reads both peaks off
+        # its float lists, so each row must carry the bits of the private
+        # attack run on the ufunc peaks.
         for row in attack_suite(500, seed).rows:
             x, y = attack_suite_draw(seed, row.index)
+            assert row.dims == {"m": x.size, "n": y.size}
+            frozen = _attack(x, _peak(x), y, _peak(y), DEFAULT_TOL)
+            assert (row.residual.hex(), row.collinearity.hex()) == (
+                frozen.residual.hex(),
+                frozen.collinearity.hex(),
+            )
             pair = attack(x, y)
             scale = float(np.abs(np.convolve(x, y)).max())
             ok = (

@@ -319,6 +319,15 @@ class TestLiftApply:
 
 
 class TestHankelBasis:
+    def test_dimensions_are_exact_integers(self):
+        # An integral float or a numpy integer is the integer; a fraction or a
+        # bool is refused with a ValueError naming the argument.
+        want = [s.tobytes() for s in hankel_basis(3, 4)]
+        assert [s.tobytes() for s in hankel_basis(3.0, np.int64(4))] == want
+        for m, n, name in ((2.5, 3, "m"), (3, True, "n"), (False, 3, "m"), ("3", 4, "m")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                hankel_basis(m, n)
+
     def test_3x4_matrix_j3(self):
         s3 = hankel_basis(3, 4)[2]
         want = np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)

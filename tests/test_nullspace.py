@@ -207,6 +207,14 @@ class TestN2Lift:
 
 
 class TestN2Generate:
+    def test_arguments_are_exact_integers(self):
+        matrix, _ = n2_generate(5, 7, 3)
+        assert n2_generate(np.int32(5), 7.0, np.uint64(3))[0].tobytes() == matrix.tobytes()
+        bad = ((3.5, 4, 0, "m"), (3, True, 0, "n"), (3, 4, 1.5, "seed"), (3, 4, True, "seed"))
+        for m, n, seed, name in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                n2_generate(m, n, seed)
+
     def test_depth_zero_is_plain_bordered_product(self):
         matrix, cert = n2_generate(2, 6, seed=5)
         assert isinstance(cert, N0Certificate)
@@ -330,6 +338,13 @@ class TestM2Element:
 
 
 class TestKernelBasis:
+    def test_dimensions_are_exact_integers(self):
+        want = [q.tobytes() for q in kernel_basis(3, 4)]
+        assert [q.tobytes() for q in kernel_basis(3.0, np.uint8(4))] == want
+        for m, n, name in ((True, 3, "m"), (3, 2.5, "n"), (3, [4], "n")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                kernel_basis(m, n)
+
     def test_single_row_or_column_is_empty(self):
         assert kernel_basis(1, 7) == []
         assert kernel_basis(6, 1) == []

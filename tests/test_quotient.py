@@ -17,16 +17,19 @@ def residual(w, element):
 
 class TestReconstruct:
     def test_trivial_angle(self):
-        assert np.array_equal(reconstruct([1.0], 0.0, d=2), [1.0, 0.0])
+        assert np.array_equal(reconstruct([1.0], 0.0), [1.0, 0.0])
 
     def test_inverse_of_d2_decomposition(self):
         gamma = math.atan2(0.8, 0.6)  # cos = 0.6, sin = 0.8
         got = reconstruct([5.0], -gamma)
         assert np.allclose(got, [3.0, 4.0], atol=1e-12)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct([1.0, 2.0], 0.3, d=5)
+    def test_output_is_one_entry_longer(self):
+        # The length follows from w_star alone; the old d argument is gone.
+        for size in (1, 2, 7):
+            assert reconstruct(np.ones(size), 0.3).size == size + 1
+        with pytest.raises(TypeError):
+            reconstruct([1.0, 2.0], 0.3, d=3)
 
     def test_overflowing_reconstruction_is_refused(self):
         with pytest.raises(ValueError, match="overflows float64: rescale"):
@@ -317,9 +320,9 @@ class TestBordered:
 
 class TestCompanionSkeletons:
     def test_alternating_orders_give_the_fresh_matrix_roots(self):
-        # Companion orders 4 -> 64 -> 4 -> 120 -> 64: cached skeletons for
-        # orders up to 90, a fresh one for 120.  Each call must find the
-        # roots of a companion built from scratch, as numpy's roots builds it.
+        # Companion orders 4 -> 64 -> 4 -> 120 -> 64: each call must find the
+        # roots of a companion built from scratch, as numpy's roots builds it,
+        # whatever order the call before it had.
         rng = np.random.default_rng(11)
         for n in (4, 64, 4, 120, 64, 4):
             ws = sample_signal(rng, n + 1)
@@ -328,13 +331,6 @@ class TestCompanionSkeletons:
             eig = np.linalg.eigvals(comp).astype(complex).tolist()
             want = sorted(z.real for z in eig if abs(z.imag) <= 1e-6 * (1.0 + abs(z.real)))
             assert _real_roots(ws, float(np.abs(ws).max())) == want, n
-
-    def test_cached_skeletons_stay_unwritten(self):
-        for n in (3, 15, 64, 90):
-            _real_roots(sample_signal(np.random.default_rng(n), n + 1), 1.0)
-            skeleton = quotient._skeleton(n)
-            assert not skeleton.flags.writeable and skeleton.flags.c_contiguous
-            assert np.array_equal(skeleton, np.eye(n, k=-1))
 
     def test_gufunc_matches_public_eigvals_bit_for_bit(self):
         # quotient calls numpy's private eigvals gufunc directly; a numpy
@@ -354,10 +350,3 @@ class TestCompanionSkeletons:
                 assert got.imag.tobytes() == want.imag.tobytes(), n
             else:  # all imaginary parts were zero, and the wrapper dropped them
                 assert not got.imag.any(), n
-
-    def test_cache_stays_under_its_byte_budget(self):
-        for n in range(1, 40):
-            _real_roots(sample_signal(np.random.default_rng(n), n + 1), 1.0)
-        info = quotient._skeleton.cache_info()
-        assert info.currsize <= 16
-        assert quotient._SKELETON_MAX_ORDER ** 2 * 8 <= 64 * 1024
