@@ -20,8 +20,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import reference
 from . import trials as trials_mod
 from .ambiguity import (
@@ -34,6 +32,7 @@ from .ambiguity import (
 from .core import (
     RankError,
     ToleranceProfile,
+    _peak,
     convolve,
     hankel_basis,
     lift_apply,
@@ -171,7 +170,7 @@ def _cmd_decompose(args) -> int:
     elements = quotient_decompose(w, args.tol)
     payload, csv_rows = [], []
     for e in elements:
-        residual = float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w)))
+        residual = _peak(reconstruct(e.w_star, e.gamma) - w)
         payload.append(
             {"w_star": signal_to_json(e.w_star), "gamma": float(e.gamma), "residual": residual}
         )

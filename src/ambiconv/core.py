@@ -16,12 +16,12 @@ with the same bits: the gufuncs of ``numpy.linalg._umath_linalg`` behind
 
 Operands are validated at the public boundary only, each in one reduction:
 ``_signal`` and ``_matrix`` copy the input and take its peak (largest
-|entry|) with ``_peak``, the ufunc reduction behind ``abs().max()``, which
-is also the finiteness test, ``peak < inf``: numpy's maximum propagates a
-NaN from any position, while Python's ``max`` skips one that follows a
-larger entry.  The copy keeps the input's dtype, so complex entries are
-refused rather than silently dropped to their real part; a float64 input
-pays one dtype check for this.
+|entry|) with ``_peak``, one ``argmax`` over the absolute values, which
+is also the finiteness test, ``peak < inf``: ``argmax`` returns the first
+NaN from any position, as ``abs().max()`` propagates it, while Python's
+``max`` skips one that follows a larger entry.  The copy keeps the input's
+dtype, so complex entries are refused rather than silently dropped to their
+real part; a float64 input pays one dtype check for this.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
 
 
 def _peak(a: np.ndarray) -> float:
-    """The largest |entry| of a nonempty array, NaN if any entry is NaN: the
-    ufunc reduction behind ``abs(a).max()``, without its Python wrapper."""
-    return float(np.maximum.reduce(np.abs(a), axis=None))
+    """The largest |entry| of a nonempty array as a Python float, NaN if any
+    entry is NaN: ``argmax`` finds the first NaN, else the largest entry."""
+    b = np.abs(a)
+    return b.item(b.argmax())
 
 
 def convolve(x, y) -> np.ndarray:

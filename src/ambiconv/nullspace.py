@@ -128,9 +128,11 @@ def certificate_to_json(cert: NullspaceCertificate) -> dict:
 def certificate_from_json(obj) -> NullspaceCertificate:
     """Load a certificate, refusing, by level, one that no matrix has: an n2
     certificate without levels or over an n2 bottom, a level whose paired
-    vectors differ in length or that does not describe a matrix of the shape
-    of the blocks of the level above it, or an m2 bottom with an all-zero
-    ``u`` or a ``lambda`` that is not a finite nonzero real."""
+    vectors differ in length, whose largest |u1(k) v1(l)| plus largest
+    |u2(k) v2(l)| overflows float64 or that does not describe a matrix of
+    the shape of the blocks of the level above it, or an m2 bottom with an
+    all-zero ``u``, a ``lambda`` that is not a finite nonzero real or a
+    largest |lambda u(k)| that overflows."""
     if _json_kind(obj) != "n2":
         return _bottom_from_json(obj, 1, None)
     rows = obj["levels"]
@@ -142,10 +144,12 @@ def certificate_from_json(obj) -> NullspaceCertificate:
         if not isinstance(row, dict):
             raise ValueError(f"{where} must be an object with keys {', '.join(_N2_VECTORS)}")
         _require(row, _N2_VECTORS, where)
-        u1, u2, v1, v2 = (as_signal(row[f]) for f in _N2_VECTORS)
+        (u1, pu1), (u2, pu2), (v1, pv1), (v2, pv2) = (_signal(row[f]) for f in _N2_VECTORS)
         for (a, x), (b, y) in ((("u1", u1), ("u2", u2)), (("v1", v1), ("v2", v2))):
             if x.size != y.size:
                 raise ValueError(f"{where}: {a} has {x.size} entries but {b} has {y.size}")
+        if pu1 * pv1 + pu2 * pv2 == math.inf:
+            raise ValueError(f"{where}: the corner products u1 v1^T, u2 v2^T overflow float64")
         _fits_blocks(k, where, (u1.size + 1, v1.size + 1), blocks)
         levels.append((u1, u2, v1, v2))
         blocks = (u1.size, v1.size)
@@ -185,9 +189,12 @@ def _bottom_from_json(obj, level: int, blocks) -> NullspaceCertificate:
         lam = _real_scalar(obj["lambda"], f"{where}: lambda")
         if not (math.isfinite(lam) and lam != 0.0):
             raise ValueError(f"{where}: lambda must be finite and nonzero, got {lam}")
-        cert = M2Certificate(u=as_signal(obj["u"]), lam=lam)
-        if not cert.u.any():
+        u, u_peak = _signal(obj["u"])
+        if not u.any():
             raise ValueError(f"{where}: u must be nonzero")
+        if u_peak * abs(lam) == math.inf:
+            raise ValueError(f"{where}: the border lambda u overflows float64")
+        cert = M2Certificate(u=u, lam=lam)
         shape = (cert.u.size + 2,) * 2
     _fits_blocks(level, where, shape, blocks)
     return cert
@@ -210,7 +217,9 @@ def certificate_to_matrix(cert: NullspaceCertificate) -> np.ndarray:
         return n0_element(cert.u, cert.v)
     if isinstance(cert, N2Certificate):
         u1, u2, v1, v2 = cert.levels[0]
-        return _corner_embed(u1[:, None] * v1, u2[:, None] * v2)
+        if u1.shape != u2.shape or v1.shape != v2.shape:  # a hand-built one
+            raise ValueError("certificate level 1 (n2): paired vectors differ in length")
+        return _embed(u1, v1, u2, v2)
     if isinstance(cert, M2Certificate):
         return m2_element(cert.u, cert.lam)
     raise ValueError("raw certificates have no parametric reconstruction")
@@ -230,17 +239,15 @@ def n0_element(u, v) -> np.ndarray:
     (us, u_peak), (vs, v_peak) = _signal(u), _signal(v)
     if u_peak * v_peak * 2.0 == np.inf:
         raise ValueError("the bordered product u v^T overflows float64: rescale u or v")
-    block = us[:, None] * vs
-    return _corner_embed(block, -block)
+    return _embed(us, vs, -us, vs)  # (-u) v^T is -(u v^T), signed zeros included
 
 
-def _corner_embed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Top-right embedding of ``a`` plus bottom-left embedding of ``b``."""
-    if a.shape != b.shape:
-        raise ValueError(f"block shapes differ: {a.shape} vs {b.shape}")
-    y = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    y[:-1, 1:] = a
-    y[1:, :-1] += b
+def _embed(u1: np.ndarray, v1: np.ndarray, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``E_TR(u1 v1^T) + E_BL(u2 v2^T)``, read-only, of 1-D float64 factors of
+    pairwise equal lengths: the top-right product written into its window."""
+    y = np.zeros((u1.size + 1, v1.size + 1))
+    np.multiply(u1[:, None], v1, out=y[:-1, 1:])
+    y[1:, :-1] += u2[:, None] * v2
     y.setflags(write=False)
     return y
 
@@ -260,8 +267,8 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
         raise ValueError("factor lengths must agree pairwise")
     if u1_peak * v1_peak + u2_peak * v2_peak == np.inf:
         raise ValueError("the corner products u1 v1^T, u2 v2^T overflow float64: rescale them")
-    a, b = u1s[:, None] * v1s, u2s[:, None] * v2s
-    inner = a + b
+    inner = u1s[:, None] * v1s
+    inner += u2s[:, None] * v2s
     peak = _peak(inner)
     image_peak = _peak(_checked_lift(inner, peak))
     bound = tol._at(peak)
@@ -270,7 +277,7 @@ def n2_lift(u1, u2, v1, v2, tol: ToleranceProfile | None = None) -> np.ndarray:
             "inner residual u1 v1^T + u2 v2^T is not in the lower-dimensional "
             f"kernel (|image| = {image_peak:.3e} > {bound:.3e})"
         )
-    return _corner_embed(a, b)
+    return _embed(u1s, v1s, u2s, v2s)
 
 
 def _row(u1, u2, v1, v2, turns: int) -> tuple:
@@ -345,14 +352,17 @@ def m2_element(u, lam: float) -> np.ndarray:
 
     Row/column 1 carry ``-u``/``u``; row/column n carry ``-lam*u``/``lam*u``.
     Skew-symmetry makes every anti-diagonal sum cancel exactly; the rank is
-    exactly two for nonzero ``u`` and ``lam``.
+    exactly two for nonzero ``u`` and ``lam``.  ``ValueError`` if the largest
+    |lam u(k)| overflows float64.
     """
-    us = as_signal(u)
+    us, u_peak = _signal(u)
     if not us.any():
         raise ValueError("u must be nonzero")
     lam = _finite_scalar(lam, "lam")
     if lam == 0.0:
         raise ValueError("lambda must be nonzero")
+    if u_peak * abs(lam) == math.inf:
+        raise ValueError("the border lam u overflows float64: rescale u or lam")
     n = us.size + 2
     x = np.zeros((n, n))
     x[0, 1 : n - 1] = -us
@@ -473,7 +483,8 @@ def _classify_cert(w: np.ndarray, tol: ToleranceProfile, peak: float) -> Nullspa
             raise ValueError("top-right block vanishes: matrix is numerically rank one")
         u1 = block[:, j].copy()
         v1 = block[i] / pivot
-        w = u1[:, None] * v1 + u2[:, None] * v2
+        w = u1[:, None] * v1
+        w += u2[:, None] * v2
         peak = _peak(w)
         if peak <= thresh:
             return _nest(levels, (u1, v1), turns)

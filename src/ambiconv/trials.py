@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import COLLINEARITY_MARGIN, _attack
-from .core import DEFAULT_TOL, ToleranceProfile, _lift, _rank
+from .core import DEFAULT_TOL, ToleranceProfile, _convolve, _lift, _peak, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
 
@@ -281,7 +281,7 @@ def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) 
             # within the full one, max|x * y|, which is computed otherwise.
             ends = max(abs(xl[0] * yl[0]), abs(xl[-1] * yl[-1]))
             fits = pair.residual <= ATTACK_RESIDUAL_REL * ends or (
-                pair.residual <= ATTACK_RESIDUAL_REL * float(np.abs(np.convolve(x, y)).max())
+                pair.residual <= ATTACK_RESIDUAL_REL * _peak(_convolve(x, y))
             )
             ok = fits and pair.collinearity < 1.0 - COLLINEARITY_MARGIN
             return ok, pair.residual, pair.collinearity
@@ -300,8 +300,8 @@ def quotient_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None
     def errors(w: np.ndarray) -> tuple[list[float], float]:
         """Reconstruction errors of the decomposition of w, and max|w|."""
         elements = quotient_decompose(w, tol)
-        errs = [float(np.max(np.abs(reconstruct(e.w_star, e.gamma) - w))) for e in elements]
-        return errs, float(np.max(np.abs(w)))
+        errs = [_peak(reconstruct(e.w_star, e.gamma) - w) for e in elements]
+        return errs, _peak(w)
 
     rngs = _trial_rngs(seed, n_trials + max(1, n_trials // 5))
     for i, rng in enumerate(itertools.islice(rngs, n_trials)):
@@ -360,8 +360,8 @@ def nullspace_suite(
         for label, q in candidates:
             # Constructor outputs are trusted float64 matrices.
             def check():
-                scale = float(np.max(np.abs(q)))
-                residual = float(np.max(np.abs(_lift(q))))
+                scale = _peak(q)
+                residual = _peak(_lift(q))
                 ok = residual <= CONSTRUCTOR_LIFT_REL * scale
                 ok = ok and _rank(q, tol._at(scale)) <= 2
                 return ok, residual, None
@@ -382,7 +382,7 @@ def kernel_suite(mmax: int = 10, nmax: int = 10) -> TrialReport:
             basis = kernel_basis(m, n)
             dump["count"] = len(basis)
             expected = 0 if (m == 1 or n == 1) else m * n - (m + n - 1)
-            worst = max((float(np.max(np.abs(_lift(q)))) for q in basis), default=0.0)
+            worst = max((_peak(_lift(q)) for q in basis), default=0.0)
             return len(basis) == expected and worst == 0.0, worst, None
 
         _record(report, index, {"m": m, "n": n}, check, dump)
@@ -399,7 +399,7 @@ def structure_suite(nmax: int = 12) -> TrialReport:
             basis = kernel_basis(2, n)
             worst = 0.0
             for q in basis:
-                edge = float(np.max(np.abs(q[0, 1:] + q[1, : n - 1])))
+                edge = _peak(q[0, 1:] + q[1, : n - 1])
                 worst = max(worst, abs(q[0, 0]), abs(q[1, n - 1]), edge)
             return len(basis) == n - 1 and worst <= STRUCTURE_TOL, worst, None
 

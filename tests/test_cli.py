@@ -552,6 +552,19 @@ class TestErrorPaths:
             error = json.loads(err)["error"]
             assert error["code"] == "invalid-input" and "overflow" in error["message"]
 
+    def test_overflowing_m2_border_is_usage_error(self, tmp_path, capsys):
+        # Unrefused, a RuntimeWarning reached stderr before the JSON error,
+        # and under warnings-as-errors the command ended in a traceback.
+        u = write_signal(tmp_path / "u.json", [1e200])
+        for action in ("always", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                code, out, err = run(capsys, ["m2", "--u", u, "--lam", "1e200"])
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1
+            error = json.loads(err)["error"]
+            assert error["code"] == "invalid-input" and "overflows float64" in error["message"]
+
     def test_overflowing_convolution_is_usage_error(self, tmp_path, capsys):
         # The inputs are finite: the refusal names the overflow, and no
         # RuntimeWarning reaches stderr.

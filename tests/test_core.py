@@ -32,7 +32,7 @@ from ambiconv import (
     verify_pair,
 )
 from ambiconv import core
-from ambiconv.core import DEFAULT_TOL, RankError, _lift, _rank
+from ambiconv.core import DEFAULT_TOL, RankError, _lift, _peak, _rank
 from ambiconv.nullspace import n0_element, n2_generate
 from oracles import antidiagonal_sums_brute, convolve_brute, lift_bincount, rank_fraction
 
@@ -350,6 +350,39 @@ class TestHankelBasis:
             basis = hankel_basis(m, n)
             via_inner = np.array([float(np.sum(s * w)) for s in basis])
             assert np.max(np.abs(via_inner - lift_apply(w))) <= 1e-12
+
+
+class TestPeak:
+    @staticmethod
+    def arrays():
+        """1-D, C-, F-ordered and strided 2-D arrays at scales 2^-1000, 1 and
+        2^1000, subnormals, and arrays of signed zeros."""
+        rng = np.random.default_rng(41)
+        base = rng.standard_normal((7, 9))
+        for scale in (2.0**-1000, 1.0, 2.0**1000):
+            a = base * scale
+            yield from (a[3], a, np.asfortranarray(a), a[::2, ::3], a.T[1:, ::-2])
+        yield np.array([5e-324, -1e-310, 2.5e-320])
+        yield np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        yield np.array([-0.0])
+
+    def test_equals_the_reduction_bit_for_bit(self):
+        for a in self.arrays():
+            got = _peak(a)
+            assert type(got) is float
+            assert got.hex() == float(np.max(np.abs(a))).hex()
+
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_any_nan_reads_nan_beside_infinities(self, at):
+        a = np.array([1.0, np.inf, -2.0, 3.0, -np.inf, 0.5, 4.0])
+        a[at] = np.nan
+        for b in (a, a.reshape(1, 7), a[::-1]):
+            got = _peak(b)
+            assert type(got) is float and got != got
+
+    def test_empty_input_is_refused(self):
+        with pytest.raises(ValueError):
+            _peak(np.zeros((0, 3)))
 
 
 class TestOuterAndRank:

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ from oracles import (
 
 
 N2_VECTORS = ("u1", "u2", "v1", "v2")
+
+
+def two_block_embed(a, b):
+    """The corner embedding as two whole blocks: ``a`` copied top-right into
+    zeros, then ``b`` added bottom-left."""
+    y = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    y[:-1, 1:] = a
+    y[1:, :-1] += b
+    return y
+
+
+def signed_draws(rng, size):
+    """Uniform entries on [-1, 1] with about a third set to 0.0 or -0.0."""
+    x = rng.uniform(-1.0, 1.0, size)
+    x[rng.random(size) < 0.35] = 0.0
+    x[rng.random(size) < 0.2] = -0.0
+    return x
 
 
 def split(cert):
@@ -116,6 +134,15 @@ class TestN0Element:
         with pytest.raises(ValueError, match="overflows float64: rescale"):
             n0_element([1e200, 1.0], [1e200, 2.0])
         assert n0_element([1e300], [2.0**20])[0, 1] == 1e300 * 2.0**20
+
+    def test_matches_the_two_block_formula_byte_for_byte(self):
+        # -(u v^T) and (-u) v^T agree to the bit, signed zeros included.
+        rng = np.random.default_rng(53)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                u, v = signed_draws(rng, m), signed_draws(rng, n)
+                block = u[:, None] * v
+                assert n0_element(u, v).tobytes() == two_block_embed(block, -block).tobytes()
 
     def test_zero_factor_gives_zero_matrix(self):
         assert not n0_element([0.0, 0.0], [1.0, 2.0, 3.0]).any()
@@ -335,6 +362,15 @@ class TestM2Element:
             m2_element([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             m2_element([1.0], 0.0)
+
+    def test_overflowing_border_is_refused(self):
+        # Unrefused, this warned and returned inf entries.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, lam in (([1e200], 1e200), ([1.0, -1e300], -1e10)):
+                with pytest.raises(ValueError, match="overflows float64: rescale u or lam"):
+                    m2_element(u, lam)
+        assert m2_element([1e300, 1.0], 2.0**20)[1, 3] == 1e300 * 2.0**20
 
 
 class TestKernelBasis:
@@ -770,11 +806,36 @@ class TestCertificates:
                 "certificate level 2 (n2) is the bottom of an n2 certificate, "
                 "which must be n0, m2 or raw",
             ),
+            (
+                n2_json({**ROW, "u1": [1e200], "v1": [1e200]}, bottom=RAW),
+                "certificate level 1 (n2): the corner products u1 v1^T, u2 v2^T overflow float64",
+            ),
+            (
+                # Each product is finite; their sum is not.
+                n2_json(
+                    ROW,
+                    {"u1": [1e154], "u2": [1e154], "v1": [1.5e154], "v2": [-1.5e154]},
+                    bottom=RAW,
+                ),
+                "certificate level 2 (n2): the corner products u1 v1^T, u2 v2^T overflow float64",
+            ),
+            (
+                {"kind": "m2", "u": [1.0, -1e200], "lambda": 1e200},
+                "certificate level 1 (m2): the border lambda u overflows float64",
+            ),
+            (
+                n2_json(
+                    {**ROW, "v1": [1.0, 2.0], "v2": [1.0, 2.0]},
+                    bottom={"kind": "m2", "u": [1e300], "lambda": -1e10},
+                ),
+                "certificate level 2 (m2): the border lambda u overflows float64",
+            ),
         ],
         ids=[
             *("n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf", "m2-list-lambda"),
             *("m2-zero-u", "n0-under-n2", "n2-under-n2", "m2-under-n2"),
             *("no-levels", "levels-not-list", "row-not-object", "n2-bottom"),
+            *("n2-overflow", "nested-n2-sum-overflow", "m2-overflow", "nested-m2-overflow"),
         ],
     )
     def test_certificates_no_matrix_can_have_are_refused_at_load(self, obj, message):
@@ -782,6 +843,31 @@ class TestCertificates:
         # the matrix then failed, or read the top level alone.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             certificate_from_json(json.loads(json.dumps(obj)))
+
+    def test_largest_finite_products_still_load(self):
+        row = {"u1": [1e154], "u2": [1e154], "v1": [1e154], "v2": [-1e150]}
+        cert = certificate_from_json(n2_json(row, bottom=RAW))
+        want = [[0.0, 1e154 * 1e154], [1e154 * -1e150, 0.0]]
+        assert certificate_to_matrix(cert).tolist() == want
+        m2 = certificate_from_json({"kind": "m2", "u": [1e300], "lambda": 1e8})
+        assert certificate_to_matrix(m2)[1, 2] == 1e308
+
+    def test_rebuild_matches_the_two_block_formula_byte_for_byte(self):
+        rng = np.random.default_rng(59)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                u1, u2 = signed_draws(rng, m), signed_draws(rng, m)
+                v1, v2 = signed_draws(rng, n), signed_draws(rng, n)
+                cert = N2Certificate(((u1, u2, v1, v2),), RawCertificate())
+                want = two_block_embed(u1[:, None] * v1, u2[:, None] * v2)
+                assert certificate_to_matrix(cert).tobytes() == want.tobytes()
+
+    def test_hand_built_level_of_unequal_lengths_is_refused(self):
+        # The bottom-left product would broadcast into the window unnoticed.
+        one, two = np.ones(1), np.ones(2)
+        for row in ((two, one, two, two), (two, two, two, one)):
+            with pytest.raises(ValueError, match="paired vectors differ in length"):
+                certificate_to_matrix(N2Certificate((row,), RawCertificate()))
 
     def test_raw_has_no_reconstruction(self):
         with pytest.raises(ValueError):
