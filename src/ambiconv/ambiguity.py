@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    NumericalError,
     ToleranceProfile,
     _convolve,
     _finite_scalar,
@@ -52,7 +53,7 @@ COLLINEARITY_MARGIN = 1e-9
 ATTACK_COLLINEARITY_BOUND = 1.0 - 1e-6
 
 
-class AttackSearchError(RuntimeError):
+class AttackSearchError(NumericalError):
     """No valid angle combination was found (measure-zero event for generic
     inputs); carries diagnostics for triage."""
     code = "attack-search-failed"

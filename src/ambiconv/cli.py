@@ -7,7 +7,12 @@ All commands read and write the JSON wire formats of the library (signals as
 dumped on one line with sorted keys, and timing is excluded unless requested.
 
 Exit codes: 0 success, 1 property or check failure (also a numerical failure,
-or a reader that closed the output pipe early), 2 usage error.
+a ``core.NumericalError``, or a reader that closed the output pipe early),
+2 usage error.
+
+This module loads only the standard library and ``core``, which every
+command needs for its tolerance and its JSON formats; each handler imports
+the modules it runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -20,17 +25,9 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import reference
-from . import trials as trials_mod
-from .ambiguity import (
-    AmbiguousPair,
-    AttackSearchError,
-    attack,
-    shift_ambiguity,
-    verify_pair,
-)
 from .core import (
-    RankError,
+    SUITES,
+    NumericalError,
     ToleranceProfile,
     _peak,
     convolve,
@@ -41,16 +38,6 @@ from .core import (
     signal_from_json,
     signal_to_json,
 )
-from .nullspace import (
-    M2Certificate,
-    certificate_to_json,
-    classify,
-    kernel_basis,
-    m2_element,
-    n0_element,
-    n2_generate,
-)
-from .quotient import RootFindingError, quotient_decompose, reconstruct
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -140,18 +127,24 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_n0(args) -> int:
+    from .nullspace import n0_element
+
     q = n0_element(_load_signal(args.u), _load_signal(args.v))
     _emit(matrix_to_json(q), args)
     return EXIT_OK
 
 
 def _cmd_n2(args) -> int:
+    from .nullspace import certificate_to_json, n2_generate
+
     matrix, cert = n2_generate(args.m, args.n, seed=args.seed)
     _emit({"certificate": certificate_to_json(cert), "matrix": matrix_to_json(matrix)}, args)
     return EXIT_OK
 
 
 def _cmd_m2(args) -> int:
+    from .nullspace import M2Certificate, certificate_to_json, m2_element
+
     u = _load_signal(args.u)
     q = m2_element(u, args.lam)
     cert = M2Certificate(u=u, lam=args.lam)
@@ -160,12 +153,16 @@ def _cmd_m2(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .nullspace import kernel_basis
+
     basis = kernel_basis(args.m, args.n)
     _emit({"count": len(basis), "elements": [matrix_to_json(q) for q in basis]}, args)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
+    from .quotient import quotient_decompose, reconstruct
+
     w = _load_signal(args.input)
     elements = quotient_decompose(w, args.tol)
     payload, csv_rows = [], []
@@ -180,6 +177,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .nullspace import certificate_to_json, classify
+
     result = classify(_load_matrix(args.matrix), args.tol)
     _emit(
         {
@@ -193,18 +192,24 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from .ambiguity import attack
+
     pair = attack(_load_signal(args.x), _load_signal(args.y), args.tol)
     _emit(pair.to_json(), args)
     return EXIT_OK
 
 
 def _cmd_shift(args) -> int:
+    from .ambiguity import shift_ambiguity
+
     pair = shift_ambiguity(_load_signal(args.x), _load_signal(args.y))
     _emit(pair.to_json(), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from .ambiguity import AmbiguousPair, verify_pair
+
     try:
         pair = AmbiguousPair.from_json(_load_json(args.pair))
     except ValueError as exc:
@@ -222,12 +227,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reference import run_reference_checks
+
     overrides = {}
     for name in ("x1", "y1", "x2", "y2"):
         path = getattr(args, name)
         if path is not None:
             overrides[name] = _load_signal(path)
-    checks = reference.run_reference_checks(**overrides)
+    checks = run_reference_checks(**overrides)
     ok = all(c.ok for c in checks)
     payload = {"ok": ok, "checks": [c.to_json() for c in checks]}
     csv_rows = [
@@ -239,9 +246,11 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_trials(args) -> int:
+    from .trials import run_suite
+
     if args.n < 1:
         raise InputError("bad-count", "--n must be >= 1")
-    report = trials_mod.run_suite(
+    report = run_suite(
         args.suite,
         n_trials=args.n,
         seed=args.seed,
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", default=None, help=f"override the built-in {name}")
 
     p = add("trials", _cmd_trials, "seeded Monte-Carlo property campaigns")
-    p.add_argument("--suite", choices=trials_mod.SUITES, required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--n", type=int, default=100, help="trial count (or draws per grid cell)")
     p.add_argument("--mmax", type=int, default=10)
     p.add_argument("--nmax", type=int, default=10)
@@ -387,8 +396,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         _structured_error(exc.code, str(exc), exc.path)
         return EXIT_USAGE
-    except (AttackSearchError, RootFindingError, RankError) as exc:
-        _structured_error(exc.code, str(exc))  # a numerical failure
+    except NumericalError as exc:
+        _structured_error(exc.code, str(exc))  # a solver failed on valid input
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         _structured_error("invalid-input", str(exc))

@@ -73,6 +73,10 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
+# The campaigns of ``trials``, defined here so the CLI parser can list them
+# without loading that module.
+SUITES = ("attack", "quotient", "nullspace", "kernel", "structure")
+
 
 def as_signal(x) -> np.ndarray:
     """Validate and return a signal as an immutable 1-D float64 array."""
@@ -244,7 +248,12 @@ def rank_estimate(w, tol: ToleranceProfile | None = None) -> int:
     return _rank(ws, (tol or DEFAULT_TOL)._at(peak))
 
 
-class RankError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A solver that failed on valid input; ``code`` names the failure, and
+    the CLI reports it as a structured error with exit code 1."""
+
+
+class RankError(NumericalError):
     """The singular value solver behind the numerical rank failed to converge."""
     code = "rank-failed"
 

@@ -44,7 +44,6 @@ from .core import (
     _rank,
     _real_scalar,
     _signal,
-    as_signal,
 )
 
 
@@ -130,9 +129,10 @@ def certificate_from_json(obj) -> NullspaceCertificate:
     certificate without levels or over an n2 bottom, a level whose paired
     vectors differ in length, whose largest |u1(k) v1(l)| plus largest
     |u2(k) v2(l)| overflows float64 or that does not describe a matrix of
-    the shape of the blocks of the level above it, or an m2 bottom with an
-    all-zero ``u``, a ``lambda`` that is not a finite nonzero real or a
-    largest |lambda u(k)| that overflows."""
+    the shape of the blocks of the level above it, an n0 certificate, at
+    any level, whose twice largest |u(k) v(l)| overflows, or an m2 bottom
+    with an all-zero ``u``, a ``lambda`` that is not a finite nonzero real
+    or a largest |lambda u(k)| that overflows."""
     if _json_kind(obj) != "n2":
         return _bottom_from_json(obj, 1, None)
     rows = obj["levels"]
@@ -183,8 +183,11 @@ def _bottom_from_json(obj, level: int, blocks) -> NullspaceCertificate:
     if kind == "n2":
         raise ValueError(f"{where} is the bottom of an n2 certificate, which must be n0, m2 or raw")
     if kind == "n0":
-        cert = N0Certificate(u=as_signal(obj["u"]), v=as_signal(obj["v"]))
-        shape = (cert.u.size + 1, cert.v.size + 1)
+        (u, u_peak), (v, v_peak) = _signal(obj["u"]), _signal(obj["v"])
+        if u_peak * v_peak * 2.0 == math.inf:
+            raise ValueError(f"{where}: the bordered product u v^T overflows float64")
+        cert = N0Certificate(u=u, v=v)
+        shape = (u.size + 1, v.size + 1)
     else:
         lam = _real_scalar(obj["lambda"], f"{where}: lambda")
         if not (math.isfinite(lam) and lam != 0.0):

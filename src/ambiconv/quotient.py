@@ -28,7 +28,15 @@ import numpy as np
 
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
-from .core import DEFAULT_TOL, ToleranceProfile, _correlate2, _finite_scalar, _signal, as_signal
+from .core import (
+    DEFAULT_TOL,
+    NumericalError,
+    ToleranceProfile,
+    _correlate2,
+    _finite_scalar,
+    _signal,
+    as_signal,
+)
 
 # Root isolation constants: acceptance band for near-real eigenvalues of the
 # companion matrix, and the relative spacing below which roots are merged.
@@ -38,7 +46,7 @@ _REAL_BAND = 1e-6
 _ROOT_MERGE = 1e-8
 
 
-class RootFindingError(RuntimeError):
+class RootFindingError(NumericalError):
     """The companion-matrix eigenvalue solver failed to converge."""
     code = "root-finding-failed"
 

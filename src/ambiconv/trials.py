@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import COLLINEARITY_MARGIN, _attack
-from .core import DEFAULT_TOL, ToleranceProfile, _convolve, _lift, _peak, _rank
+from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _convolve, _lift, _peak, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
 
@@ -44,8 +44,6 @@ ATTACK_RESIDUAL_REL = 1e-8
 QUOTIENT_RESIDUAL_REL = 1e-8
 CONSTRUCTOR_LIFT_REL = 1e-10
 STRUCTURE_TOL = 1e-10
-
-SUITES = ("attack", "quotient", "nullspace", "kernel", "structure")
 
 
 @dataclass

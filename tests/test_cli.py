@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -611,6 +612,18 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"]["code"] == "rank-failed"
 
+    def test_numerical_errors_share_one_base(self):
+        # main catches the base, so it needs none of the solver modules.
+        errors = {
+            ambiconv.AttackSearchError: "attack-search-failed",
+            ambiconv.RankError: "rank-failed",
+            ambiconv.RootFindingError: "root-finding-failed",
+        }
+        for error, code in errors.items():
+            assert issubclass(error, core.NumericalError)
+            assert issubclass(error, RuntimeError)
+            assert error.code == code
+
     @pytest.mark.parametrize(
         "command, field, value, code",
         [
@@ -763,6 +776,18 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_suite_choices_are_the_trials_suites(self, capsys):
+        # The parser takes its choices from core, without loading trials.
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--help"])
+        assert exc.value.code == 0
+        listed = re.search(r"--suite \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert tuple(listed.split(",")) == trials.SUITES
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--suite", "frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_csv_unsupported_for_matrix_output(self, tmp_path, capsys):
         u = write_signal(tmp_path / "u.json", [1.0])

@@ -830,12 +830,25 @@ class TestCertificates:
                 ),
                 "certificate level 2 (m2): the border lambda u overflows float64",
             ),
+            (
+                {"kind": "n0", "u": [1e200], "v": [1e200]},
+                "certificate level 1 (n0): the bordered product u v^T overflows float64",
+            ),
+            (
+                # Each product is finite; twice the largest is not.
+                n2_json(
+                    {"u1": [1.0, 1.0], "u2": [1.0, 1.0], "v1": [1.0, 1.0], "v2": [1.0, 1.0]},
+                    bottom={"kind": "n0", "u": [1e154], "v": [-1e154]},
+                ),
+                "certificate level 2 (n0): the bordered product u v^T overflows float64",
+            ),
         ],
         ids=[
             *("n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf", "m2-list-lambda"),
             *("m2-zero-u", "n0-under-n2", "n2-under-n2", "m2-under-n2"),
             *("no-levels", "levels-not-list", "row-not-object", "n2-bottom"),
             *("n2-overflow", "nested-n2-sum-overflow", "m2-overflow", "nested-m2-overflow"),
+            *("n0-overflow", "nested-n0-overflow"),
         ],
     )
     def test_certificates_no_matrix_can_have_are_refused_at_load(self, obj, message):
@@ -851,6 +864,8 @@ class TestCertificates:
         assert certificate_to_matrix(cert).tolist() == want
         m2 = certificate_from_json({"kind": "m2", "u": [1e300], "lambda": 1e8})
         assert certificate_to_matrix(m2)[1, 2] == 1e308
+        n0 = certificate_from_json({"kind": "n0", "u": [1e154], "v": [-8e153]})
+        assert certificate_to_matrix(n0).tolist() == [[0.0, -8e307], [8e307, 0.0]]
 
     def test_rebuild_matches_the_two_block_formula_byte_for_byte(self):
         rng = np.random.default_rng(59)
