@@ -150,8 +150,7 @@ def rotational_family(
     collapses the two pairs into one and is flagged with a warning.  Rotated
     factors that overflow float64 are refused with ``ValueError``.
     """
-    (x1s, x1_peak), (x2s, x2_peak) = _signal(x1), _signal(x2)
-    (y1s, y1_peak), (y2s, y2_peak) = _signal(y1), _signal(y2)
+    x1s, x2s, y1s, y2s = map(as_signal, (x1, x2, y1, y2))
     for name, a, b in (("x", x1s, x2s), ("y", y1s, y2s)):
         if a.size != b.size:
             raise ValueError(f"{name}1 and {name}2 differ in length: {a.size} vs {b.size}")
@@ -167,26 +166,21 @@ def rotational_family(
             RuntimeWarning,
             stacklevel=2,
         )
-    xs, ys = (x1s, x1_peak, x2s, x2_peak), (y1s, y1_peak, y2s, y2_peak)
-    x1p = _rotated(*xs, math.cos(theta), math.sin(theta))
-    y1p = _rotated(*ys, math.sin(phi), math.cos(phi))
-    x2p = _rotated(*xs, math.cos(phi), math.sin(phi))
-    y2p = _rotated(*ys, math.sin(theta), math.cos(theta))
+    x1p = _rotated(x1s, x2s, math.cos(theta), math.sin(theta))
+    y1p = _rotated(y1s, y2s, math.sin(phi), math.cos(phi))
+    x2p = _rotated(x1s, x2s, math.cos(phi), math.sin(phi))
+    y2p = _rotated(y1s, y2s, math.sin(theta), math.cos(theta))
     return x1p, y1p, x2p, y2p
 
 
-def _rotated(a, peak_a: float, b, peak_b: float, c: float, s: float) -> np.ndarray:
-    """``c a - s b`` of trusted arrays with largest |entries| ``peak_a`` and
-    ``peak_b``, frozen; ``ValueError`` if it overflows float64, watched only
-    where ``|c| peak_a + |s| peak_b`` does."""
-    if abs(c) * peak_a + abs(s) * peak_b < math.inf:
-        out = c * a - s * b
-    else:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                out = c * a - s * b
-        except FloatingPointError:
-            raise ValueError("the rotated pairs overflow float64: rescale the seed pairs") from None
+def _rotated(a, b, c: float, s: float) -> np.ndarray:
+    """``c a - s b`` of trusted arrays, frozen; ``ValueError`` if it
+    overflows float64."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = c * a - s * b
+    except FloatingPointError:
+        raise ValueError("the rotated pairs overflow float64: rescale the seed pairs") from None
     out.flags.writeable = False
     return out
 

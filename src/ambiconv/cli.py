@@ -26,6 +26,7 @@ import sys
 from contextlib import nullcontext
 
 from .core import (
+    DEFAULT_TOL,
     SUITES,
     NumericalError,
     ToleranceProfile,
@@ -62,7 +63,9 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise InputError("missing-file", str(exc), path) from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission to read
+        raise InputError("unreadable-file", str(exc), path) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError("malformed-json", str(exc), path) from exc
 
 
@@ -80,11 +83,8 @@ def _load_matrix(path: str):
         raise InputError("bad-matrix", str(exc), path) from exc
 
 
-def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
-    # Refuse and encode before opening --out, so a refused request leaves the
-    # file alone; an indent would make json use its pure-Python encoder.
-    if args.format == "csv" and csv_rows is None:
-        raise InputError("no-csv", "this command only supports --format json")
+def _emit(payload, args, csv_rows=(), csv_header=None) -> None:
+    # No indent: it would make json use its pure-Python encoder.
     text = json.dumps(payload, sort_keys=True) + "\n" if args.format == "json" else None
     try:
         fh = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
@@ -279,17 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ambiguity-space toolkit for blind linear deconvolution",
         allow_abbrev=False,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each command takes --out and only the shared options its handler reads.
+    readers = {
+        "--seed": ("n2", "trials"),
+        "--tol-rel": ("decompose", "classify", "attack", "verify", "trials"),
+        "--format": ("convolve", "lift", "decompose", "verify", "reproduce-paper", "trials"),
+    }
+    settings = {
+        "--seed": {"type": int, "default": 0, "help": "seed for all randomness"},
+        "--tol-rel": {"type": float, "default": DEFAULT_TOL.rel_tol, "help": "relative tolerance"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }
+
     def add(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
-        p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func, format="json")
+        for flag, commands in readers.items():
+            if name in commands:
+                p.add_argument(flag, **settings[flag])
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
         return p
 
     p = add("convolve", _cmd_convolve, "linear convolution of two signals")
@@ -382,10 +392,10 @@ def main(argv=None) -> int:
     call to the next."""
     args = _parser().parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise InputError("bad-seed", f"--seed must be >= 0, got {args.seed}")
-        # Every command's tolerance is checked here; handlers read the profile.
-        args.tol = ToleranceProfile(rel_tol=args.tol_rel)
+        if hasattr(args, "tol_rel"):  # checked here; handlers read the profile
+            args.tol = ToleranceProfile(rel_tol=args.tol_rel)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early raises here, not at exit
         return code

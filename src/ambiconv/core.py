@@ -118,10 +118,12 @@ _FLOAT64 = np.dtype(np.float64)
 def _real(x, kind: str) -> np.ndarray:
     """A fresh float64 array of ``x``; ``ValueError`` for complex entries,
     which a float64 conversion drops with a warning (arrays) or refuses
-    with a bare ``TypeError`` (sequences)."""
+    with a bare ``TypeError`` (sequences), and for strings, which it parses."""
     arr = np.array(x, copy=True)
     if arr.dtype is not _FLOAT64:
-        if arr.dtype.kind == "c":
+        if arr.dtype.kind in "cSU" or (
+            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        ):
             raise ValueError(f"{kind} entries must be real numbers")
         try:
             arr = arr.astype(_FLOAT64)

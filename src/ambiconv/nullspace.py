@@ -321,8 +321,7 @@ def n2_generate(m: int, n: int, seed: int) -> tuple[np.ndarray, NullspaceCertifi
     matrix together with its certificate, ``min(m, n) - 2`` levels over a
     bordered product; the matrix is rebuilt from the certificate, so the two
     agree bit for bit.  One flat loop makes the levels, in O(mn) memory at
-    any order.  The construction is exact, so the ``--tol-rel`` flag of
-    ``ambiconv n2`` does not affect generation.
+    any order.
     """
     m, n, seed = _exact_int(m, "m"), _exact_int(n, "n"), _exact_int(seed, "seed")
     if m < 2 or n < 2:

@@ -25,7 +25,6 @@ that only the public ``attack`` needs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -34,6 +33,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .ambiguity import COLLINEARITY_MARGIN, _attack
 from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _convolve, _lift, _peak, _rank
@@ -189,23 +190,16 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-@functools.cache
-def _state_seed():
-    """A seed sequence that hands ``PCG64`` a state computed beforehand.
-    Built at the first campaign, so importing the package does not load
-    ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
+class _StateSeed(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` a state computed beforehand."""
 
-    class StateSeed(ISeedSequence):
-        __slots__ = ("state",)
+    __slots__ = ("state",)
 
-        def __init__(self, state: np.ndarray):
-            self.state = state
+    def __init__(self, state: np.ndarray):
+        self.state = state
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state  # PCG64 asks for its four uint64 words
-
-    return StateSeed
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state  # PCG64 asks for its four uint64 words
 
 
 def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
@@ -217,17 +211,14 @@ def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     if count > 2**32:
         # an index of 2**32 or more is two entropy words, not one
         raise ValueError(f"a campaign seeds at most 2**32 trials, got {count}")
-    from numpy.random import PCG64, Generator
-
     seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    state_seed = _state_seed()
     for start in range(0, count, _SEED_CHUNK):
         stop = min(start + _SEED_CHUNK, count)
         entropy = np.empty((stop - start, len(seed_words) + 1), np.uint32)
         entropy[:, :-1] = seed_words
         entropy[:, -1] = np.arange(start, stop)
         for state in _pcg64_states(entropy):
-            yield Generator(PCG64(state_seed(state)))
+            yield Generator(PCG64(_StateSeed(state)))
 
 
 def sample_signal(rng: np.random.Generator, size: int) -> np.ndarray:

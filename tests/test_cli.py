@@ -65,6 +65,20 @@ REQUIRED_ARGS = {
     "trials": ["--suite", "attack"],
 }
 
+# The shared options, each with the commands whose handlers read it; every
+# command also takes --out.
+SHARED_OPTIONS = {
+    "--format": {"convolve", "lift", "decompose", "verify", "reproduce-paper", "trials"},
+    "--tol-rel": {"decompose", "classify", "attack", "verify", "trials"},
+    "--seed": {"n2", "trials"},
+}
+UNREAD_OPTIONS = [
+    (command, flag)
+    for flag, readers in SHARED_OPTIONS.items()
+    for command in sorted(REQUIRED_ARGS)
+    if command not in readers
+]
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -517,6 +531,31 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "malformed-json"
 
+    def test_directory_input_is_unreadable_file(self, tmp_path, capsys):
+        y = write_signal(tmp_path / "y.json", [1.0, 1.0])
+        code, out, err = run(capsys, ["convolve", "--x", str(tmp_path), "--y", y])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["code"], error["path"]) == ("unreadable-file", str(tmp_path))
+
+    def test_non_utf8_input_is_malformed_json(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        for argv in (["convolve", "--x", str(p), "--y", str(p)], ["verify", "--pair", str(p)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            error = json.loads(err)["error"]
+            assert (error["code"], error["path"]) == ("malformed-json", str(p))
+
+    def test_string_entries_are_bad_signal(self, tmp_path, capsys):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps({"len": 2, "entries": ["1.5", "2"]}))
+        code, out, err = run(capsys, ["convolve", "--x", str(p), "--y", str(p)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-signal"
+        assert error["message"] == "signal entries must be real numbers"
+
     def test_schema_violation_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"len": 3, "entries": [1.0]}))
@@ -686,11 +725,19 @@ class TestErrorPaths:
             "tol-abs-minus-inf",
         ],
     )
-    @pytest.mark.parametrize("command", ["decompose", "attack"])
+    @pytest.mark.parametrize("command", sorted(SHARED_OPTIONS["--tol-rel"]))
     def test_nonfinite_tolerance_is_invalid_input(self, tmp_path, capsys, command, flags):
         x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
         y = write_signal(tmp_path / "y.json", [1.0, 1.0, 2.0, 1.0])
-        inputs = ["--input", x] if command == "decompose" else ["--x", x, "--y", y]
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps(attack([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 1.0]).to_json()))
+        inputs = {
+            "decompose": ["--input", x],
+            "classify": ["--matrix", write_matrix(tmp_path / "w.json", n2_generate(3, 4, 1)[0])],
+            "attack": ["--x", x, "--y", y],
+            "verify": ["--pair", str(pair)],
+            "trials": ["--suite", "attack", "--n", "1"],
+        }[command]
         if flags[0] == "--tol-abs":
             # Every comparison is relative, so the absolute tolerance's flag
             # is gone: argparse refuses it, whatever its value.
@@ -706,27 +753,38 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "invalid-input"
 
-    @pytest.mark.parametrize("flags", [["--tol-rel", "-1e-3"]], ids=["tol-rel-negative"])
-    @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
-    def test_tolerance_is_checked_for_every_command(self, tmp_path, capsys, command, flags):
-        # The tolerance is checked before any handler runs, so commands that
-        # compare nothing approximately refuse an invalid one too.
-        x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
-        inputs = {
-            "convolve": ["--x", x, "--y", x],
-            "kernel": ["--m", "3", "--n", "3"],
-            "reproduce-paper": [],
-        }[command]
-        code, out, err = run(capsys, [command, *inputs, *flags])
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"]["code"] == "invalid-input"
+    def test_each_command_takes_only_the_shared_options_it_reads(self):
+        parser = cli.build_parser()
+        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+        assert sorted(commands) == sorted(REQUIRED_ARGS)
+        settable = 0
+        for command, sub in commands.items():
+            options = [a.option_strings[0] for a in sub._actions if a.dest != "help"]
+            shared = {flag for flag, readers in SHARED_OPTIONS.items() if command in readers}
+            assert set(options) & {"--out", *SHARED_OPTIONS} == {"--out", *shared}, command
+            settable += len(options)
+        assert (settable, len(UNREAD_OPTIONS)) == (57, 29)
+
+    @pytest.mark.parametrize(
+        "command, flag", UNREAD_OPTIONS, ids=[f"{c}-{f[2:]}" for c, f in UNREAD_OPTIONS]
+    )
+    def test_unread_shared_option_is_unrecognized(self, capsys, command, flag):
+        # Even the default value is refused: argparse exits before any
+        # input file is opened, with nothing on stdout.
+        value = {"--format": "json", "--tol-rel": "1e-9", "--seed": "0"}[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED_ARGS[command], flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
 
     @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
     def test_removed_tol_abs_flag_is_usage_error(self, tmp_path, capsys, command):
         # Every comparison is relative, so the absolute tolerance's flag is
-        # gone: argparse refuses it before any command runs.  decompose and
-        # attack are checked in test_nonfinite_tolerance_is_invalid_input.
+        # gone: argparse refuses it before any command runs.  The commands
+        # that read --tol-rel are checked in
+        # test_nonfinite_tolerance_is_invalid_input.
         x = write_signal(tmp_path / "x.json", [1.0, 2.0, 3.0, 4.0])
         inputs = {
             "convolve": ["--x", x, "--y", x],
@@ -760,9 +818,8 @@ class TestErrorPaths:
         [
             ["trials", "--suite", "attack"],
             ["n2", "--m", "3", "--n", "3"],
-            ["kernel", "--m", "2", "--n", "2"],
         ],
-        ids=["trials", "n2", "kernel"],
+        ids=["trials", "n2"],
     )
     def test_negative_seed_is_bad_seed(self, argv, capsys):
         code, out, err = run(capsys, [*argv, "--seed", "-1"])
@@ -789,23 +846,17 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
-    def test_csv_unsupported_for_matrix_output(self, tmp_path, capsys):
-        u = write_signal(tmp_path / "u.json", [1.0])
-        v = write_signal(tmp_path / "v.json", [1.0])
-        code, _, err = run(capsys, ["n0", "--u", u, "--v", v, "--format", "csv"])
-        assert code == 2
-        assert json.loads(err)["error"]["code"] == "no-csv"
-
     def test_refused_csv_leaves_existing_out_file_intact(self, tmp_path, capsys):
+        # n0 writes a matrix and has no --format: argparse refuses the flag
+        # before --out is opened.
         out = tmp_path / "existing.json"
         out.write_text('{"keep": true}\n')
         u = write_signal(tmp_path / "u.json", [1.0])
         v = write_signal(tmp_path / "v.json", [1.0])
-        code, _, err = run(
-            capsys, ["n0", "--u", u, "--v", v, "--format", "csv", "--out", str(out)]
-        )
-        assert code == 2
-        assert json.loads(err)["error"]["code"] == "no-csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["n0", "--u", u, "--v", v, "--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
         assert out.read_text() == '{"keep": true}\n'
 
     @pytest.mark.parametrize(

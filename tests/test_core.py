@@ -115,6 +115,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="^signal entries must be real numbers$"):
             as_signal(np.array([1.0, 2 + 1j, "x"], dtype=object))
 
+    @pytest.mark.parametrize(
+        "call, entries",
+        [
+            (as_signal, ["1.5", "2"]),
+            (as_signal, [b"3"]),
+            (as_signal, [1.0, "2"]),
+            (as_signal, np.array([1.0, "2"], dtype=object)),
+            (as_signal, np.array([1.0, b"2"], dtype=object)),
+            (as_matrix, [["1", "2"], ["3", "4"]]),
+        ],
+        ids=["str", "bytes", "mixed", "object-str", "object-bytes", "matrix-str"],
+    )
+    def test_string_entries_are_refused(self, call, entries):
+        # float64 conversion would parse them as numbers.
+        kind = "matrix" if call is as_matrix else "signal"
+        with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
+            call(entries)
+
     def test_non_float64_real_inputs_convert_exactly(self):
         for x in ([1, 2, 3], np.float32([1.5, 2.0]), np.array([1.0, 2.5]).astype(">f8")):
             got = as_signal(x)
