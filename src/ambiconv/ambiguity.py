@@ -204,27 +204,25 @@ def shift_ambiguity(x, y) -> AmbiguousPair:
         y_alt = np.concatenate(([0.0], ys[:-1]))
     else:
         raise ValueError("no pathological zero pattern: need x(m) = y(1) = 0 or x(1) = y(n) = 0")
-    return _pair(xs, ys, x_alt, y_alt, _collinearity(xs, x_alt, x_peak))
+    return _pair(xs, ys, x_alt, y_alt, _collinearity(xs, x_alt, x_peak))[0]
 
 
-def _pair(xs, ys, x_alt, y_alt, coll: float) -> AmbiguousPair:
+def _pair(xs, ys, x_alt, y_alt, coll: float) -> tuple[AmbiguousPair, float]:
     """The certificate pair ``(x_alt, y_alt)`` of trusted arrays ``(xs, ys)``,
-    frozen, with its convolution residual and first-factor collinearity."""
+    frozen, with its residual and collinearity, and max|xs * ys|."""
     x_alt.flags.writeable = y_alt.flags.writeable = False
-    residual = _outputs(xs, ys, x_alt, y_alt)[0]
-    return AmbiguousPair(xs, ys, x_alt, y_alt, residual, coll)
+    residual, peak, _ = _outputs(xs, ys, x_alt, y_alt)
+    return AmbiguousPair(xs, ys, x_alt, y_alt, residual, coll), peak
 
 
 def _outputs(x, y, x_alt, y_alt) -> tuple[float, float, float]:
     """The largest |difference| of ``z = x * y`` and ``z_alt = x_alt * y_alt``
     (trusted arrays, ``x`` as long as ``x_alt``, ``y`` as ``y_alt``), then the
-    largest |entry| of each, both from one reduction over the two outputs
-    side by side, NaN for any NaN entry as in ``_peak``.  A pair is refused if
-    z, z_alt or their difference overflows; the difference can overflow only
-    where the two peaks sum to inf (or NaN), so only there is it watched."""
+    ``_peak`` of each.  A pair is refused if z, z_alt or their difference
+    overflows; the difference can overflow only where the two peaks sum to
+    inf (or NaN), so only there is it watched."""
     z, z_alt = _convolve(x, y), _convolve(x_alt, y_alt)
-    both = np.abs(np.concatenate((z, z_alt)))
-    peak, peak_alt = np.maximum.reduceat(both, (0, z.size)).tolist()
+    peak, peak_alt = _peak(z), _peak(z_alt)
     if peak + peak_alt < math.inf:
         return _peak(z - z_alt), peak, peak_alt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,14 +270,15 @@ def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:
     convolution overflows is refused with ``ValueError``.
     """
     (xs, x_peak), (ys, y_peak) = _signal(x), _signal(y)
-    return _attack(xs, x_peak, ys, y_peak, tol or DEFAULT_TOL)
+    return _attack(xs, x_peak, ys, y_peak, tol or DEFAULT_TOL)[0]
 
 
 def _attack(
     xs: np.ndarray, x_peak: float, ys: np.ndarray, y_peak: float, tol: ToleranceProfile
-) -> AmbiguousPair:
+) -> tuple[AmbiguousPair, float]:
     """``attack`` of frozen 1-D float64 arrays with finite entries, ``x_peak``
-    and ``y_peak`` their largest |entries|: the pair holds them as given."""
+    and ``y_peak`` their largest |entries|: the pair holds them as given.
+    Also returns max|xs * ys|, the scale its residual is judged against."""
     m, n = xs.size, ys.size
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ValueError(f"model orders must be even and >= 4, got ({m}, {n})")
@@ -304,7 +303,7 @@ def _attack(
             if coll <= ATTACK_COLLINEARITY_BOUND:
                 return _pair(xs, ys, x_alt, _bordered(v, theta), coll)
             if best is None or coll < best[0]:
-                best = (coll, x_alt, _bordered(v, theta))
+                best = (coll, x_alt, v, theta)
     if best is None:
         raise AttackSearchError(
             "no valid angle combination: "
@@ -312,8 +311,8 @@ def _attack(
             "(distinct real roots whose division remainder is within tolerance), "
             f"degeneracy threshold {DEGENERACY_EPS}; inputs x={xs.tolist()}, y={ys.tolist()}"
         )
-    coll, x_alt, y_alt = best
-    return _pair(xs, ys, x_alt, y_alt, coll)
+    coll, x_alt, v, theta = best
+    return _pair(xs, ys, x_alt, _bordered(v, theta), coll)
 
 
 def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> PairReport:
@@ -332,5 +331,11 @@ def verify_pair(pair: AmbiguousPair, tol: ToleranceProfile | None = None) -> Pai
         raise ValueError("certificate pair dimensions do not match the original pair")
     residual, peak, _ = _outputs(x, y, x_alt, y_alt)
     coll = _collinearity(x, x_alt, x_peak)
-    certifies = residual <= tol._at(peak) and coll < 1.0 - COLLINEARITY_MARGIN
+    certifies = _certifies(residual, tol._at(peak), coll)
     return PairReport(residual=residual, collinearity=coll, certifies_unidentifiability=certifies)
+
+
+def _certifies(residual: float, bound: float, coll: float) -> bool:
+    """The one certification rule: the residual within ``bound``, a multiple
+    of the common output's peak, and first factors that are not collinear."""
+    return residual <= bound and coll < 1.0 - COLLINEARITY_MARGIN

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(func=func, format="json")
+        p.set_defaults(func=func, format="json", command_parser=p)
         for flag, commands in readers.items():
             if name in commands:
                 p.add_argument(flag, **settings[flag])
@@ -390,7 +390,10 @@ def main(argv=None) -> int:
     code.  ``main`` may be called repeatedly in one process: it builds its
     parser at the first call and reuses it, and no argument carries from one
     call to the next."""
-    args = _parser().parse_args(_bind_tolerance_values(sys.argv[1:] if argv is None else argv))
+    argv = _bind_tolerance_values(sys.argv[1:] if argv is None else argv)
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:  # refused with the command's usage, not the top-level one
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if getattr(args, "seed", 0) < 0:
             raise InputError("bad-seed", f"--seed must be >= 0, got {args.seed}")

@@ -114,22 +114,36 @@ def _matrix(w) -> tuple[np.ndarray, float]:
 
 _FLOAT64 = np.dtype(np.float64)
 
+# Entries a float64 conversion reads as numbers although they are none: it
+# parses a string, reads True as 1, None as NaN and a date as a day count.
+_NOT_REAL = (str, bytes, bool, np.bool_, type(None), np.datetime64, np.timedelta64)
+
 
 def _real(x, kind: str) -> np.ndarray:
-    """A fresh float64 array of ``x``; ``ValueError`` for complex entries,
-    which a float64 conversion drops with a warning (arrays) or refuses
-    with a bare ``TypeError`` (sequences), and for strings, which it parses."""
+    """A fresh float64 array of ``x``; ``ValueError`` unless each entry is a
+    real number.  A float64 conversion drops complex entries with a warning
+    (arrays) or refuses them with a bare ``TypeError`` (sequences), and reads
+    the ``_NOT_REAL`` entries as numbers.  An array is judged by its dtype,
+    an object array also by its entry types, and a sequence by its entry
+    types, since numpy reads ``[True, 2.0]`` as float64."""
     arr = np.array(x, copy=True)
-    if arr.dtype is not _FLOAT64:
-        if arr.dtype.kind in "cSU" or (
-            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
-        ):
-            raise ValueError(f"{kind} entries must be real numbers")
-        try:
-            arr = arr.astype(_FLOAT64)
-        except TypeError:  # an object array holding a complex or non-number
-            raise ValueError(f"{kind} entries must be real numbers") from None
-    return arr
+    if arr.dtype is _FLOAT64 and type(x) is np.ndarray:
+        return arr
+    entries = arr if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    if arr.dtype.kind not in "fiuO" or (entries.dtype.kind == "O" and not _all_real(entries)):
+        raise ValueError(f"{kind} entries must be real numbers")
+    try:
+        return arr.astype(_FLOAT64, copy=False)
+    except TypeError:  # an object array holding a complex or non-number
+        raise ValueError(f"{kind} entries must be real numbers") from None
+    except OverflowError:  # an integer beyond float64, as a JSON 1e400 is inf
+        raise ValueError(f"{kind} entries must be finite") from None
+
+
+def _all_real(entries: np.ndarray) -> bool:
+    """Whether no entry of an object array is a ``_NOT_REAL`` instance,
+    testing each distinct entry type once."""
+    return not any(issubclass(t, _NOT_REAL) for t in set(map(type, entries.flat)))
 
 
 def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:

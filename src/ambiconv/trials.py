@@ -36,8 +36,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .ambiguity import COLLINEARITY_MARGIN, _attack
-from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _convolve, _lift, _peak, _rank
+from .ambiguity import _attack, _certifies
+from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _lift, _peak, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import quotient_decompose, reconstruct
 
@@ -264,15 +264,8 @@ def attack_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None) 
             # The draws are the campaign's own finite arrays, frozen above, so
             # the attack skips the public boundary's copy and validation, and
             # reads each peak off the floats the row's dump holds anyway.
-            pair = _attack(x, max(map(abs, xl)), y, max(map(abs, yl)), tol)
-            # The end entries of np.convolve(x, y) are the single products
-            # x(1) y(1) and x(m) y(n), so a residual within this bound is
-            # within the full one, max|x * y|, which is computed otherwise.
-            ends = max(abs(xl[0] * yl[0]), abs(xl[-1] * yl[-1]))
-            fits = pair.residual <= ATTACK_RESIDUAL_REL * ends or (
-                pair.residual <= ATTACK_RESIDUAL_REL * _peak(_convolve(x, y))
-            )
-            ok = fits and pair.collinearity < 1.0 - COLLINEARITY_MARGIN
+            pair, peak = _attack(x, max(map(abs, xl)), y, max(map(abs, yl)), tol)
+            ok = _certifies(pair.residual, ATTACK_RESIDUAL_REL * peak, pair.collinearity)
             return ok, pair.residual, pair.collinearity
 
         # the row plus the raw inputs suffice to rerun a failure

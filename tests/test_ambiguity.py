@@ -26,6 +26,7 @@ from ambiconv.ambiguity import (
     COLLINEARITY_MARGIN,
     DEGENERACY_EPS,
     _attack,
+    _certifies,
     _collinearity,
     _outputs,
 )
@@ -305,15 +306,15 @@ class TestAttack:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_suite_rows_match_the_full_scale_rule(self, seed):
-        # The campaign accepts on the end products x(1) y(1), x(m) y(n)
-        # first; every row must still be the full-scale rule's, recomputed
-        # through the public attack.  The campaign also reads both peaks off
-        # its float lists, so each row must carry the bits of the private
-        # attack run on the ufunc peaks.
+        # The campaign judges each row against the output peak the attack
+        # measured; every row must be the full-scale rule's, recomputed
+        # through the public attack.  The campaign also reads both input
+        # peaks off its float lists, so each row must carry the bits of the
+        # private attack run on the ufunc peaks.
         for row in attack_suite(500, seed).rows:
             x, y = attack_suite_draw(seed, row.index)
             assert row.dims == {"m": x.size, "n": y.size}
-            frozen = _attack(x, _peak(x), y, _peak(y), DEFAULT_TOL)
+            frozen = _attack(x, _peak(x), y, _peak(y), DEFAULT_TOL)[0]
             assert (row.residual.hex(), row.collinearity.hex()) == (
                 frozen.residual.hex(),
                 frozen.collinearity.hex(),
@@ -332,14 +333,14 @@ class TestAttack:
 
     @pytest.mark.parametrize("above, success", [(False, True), (True, False)])
     def test_suite_falls_back_to_the_full_scale(self, monkeypatch, above, success):
-        # Residuals at exactly 1e-8 max|x * y| exceed the end-product bound
-        # wherever an interior entry is the largest, and must still pass;
-        # one ulp above must fail everywhere.
+        # Residuals at exactly 1e-8 max|x * y|, the peak the attack returns,
+        # must pass; one ulp above must fail everywhere.
         def attack_at_bound(x, x_peak, y, y_peak, tol):
-            residual = ATTACK_RESIDUAL_REL * float(np.abs(np.convolve(x, y)).max())
+            peak = float(np.abs(np.convolve(x, y)).max())
+            residual = ATTACK_RESIDUAL_REL * peak
             if above:
                 residual = math.nextafter(residual, math.inf)
-            return AmbiguousPair(x, y, x, y, residual, 0.5)
+            return AmbiguousPair(x, y, x, y, residual, 0.5), peak
 
         monkeypatch.setattr(trials, "_attack", attack_at_bound)
         rows = attack_suite(200, 1).rows
@@ -496,6 +497,23 @@ class TestPairLayer:
             sb = np.ldexp(b, -math.frexp(peak_b)[1])
             cosine = abs(sa @ sb) / (np.linalg.norm(sa) * np.linalg.norm(sb))
             assert _collinearity(a, b, peak_a) == min(1.0, float(cosine))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_attack_returns_the_common_output_peak(self, seed):
+        for index in range(100):
+            x, y = attack_suite_draw(seed, index)
+            try:
+                _, peak = _attack(x, _peak(x), y, _peak(y), DEFAULT_TOL)
+            except AttackSearchError:
+                continue
+            assert peak == float(np.abs(np.convolve(x, y)).max())
+
+    def test_certifies_is_the_inclusive_residual_and_strict_collinearity_rule(self):
+        edge = 1.0 - COLLINEARITY_MARGIN
+        assert _certifies(1.0, 1.0, math.nextafter(edge, 0.0))
+        assert not _certifies(math.nextafter(1.0, 2.0), 1.0, 0.0)
+        assert not _certifies(0.0, 1.0, edge)
+        assert not _certifies(math.nan, 1.0, 0.0)
 
     @pytest.mark.parametrize("exp", [-600, 600])
     def test_outputs_are_the_three_peaks(self, exp):

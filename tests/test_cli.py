@@ -556,6 +556,20 @@ class TestErrorPaths:
         assert error["code"] == "bad-signal"
         assert error["message"] == "signal entries must be real numbers"
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "real numbers"), (None, "real numbers"), (10**400, "finite")],
+        ids=["true", "null", "int-beyond-float64"],
+    )
+    def test_bool_null_and_huge_entries_are_bad_signal(self, tmp_path, capsys, bad, message):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps({"len": 2, "entries": [bad, 2.0]}))
+        code, out, err = run(capsys, ["convolve", "--x", str(p), "--y", str(p)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-signal"
+        assert error["message"] == f"signal entries must be {message}"
+
     def test_schema_violation_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"len": 3, "entries": [1.0]}))
@@ -778,6 +792,17 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+    def test_unrecognized_option_shows_its_command_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED_ARGS[command], "--frobnicate", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: ambiconv {command} ")
+        assert lines[-1] == f"ambiconv {command}: error: unrecognized arguments: --frobnicate 1"
 
     @pytest.mark.parametrize("command", ["convolve", "kernel", "reproduce-paper"])
     def test_removed_tol_abs_flag_is_usage_error(self, tmp_path, capsys, command):

@@ -14,6 +14,7 @@ from ambiconv import (
     as_signal,
     attack,
     bordered_y_form,
+    certificate_from_json,
     classify,
     convolve,
     hankel_basis,
@@ -27,6 +28,7 @@ from ambiconv import (
     rank_estimate,
     reconstruct,
     rotational_family,
+    shift_ambiguity,
     signal_from_json,
     signal_to_json,
     verify_pair,
@@ -61,6 +63,7 @@ NONFINITE_SIGNALS = {
     "nan-after-larger": [3.0, float("nan"), 1.0, 2.0],
     "inf": [1.0, 2.0, float("inf"), 1.0],
     "minus-inf": [1.0, -float("inf"), 2.0, 1.0],
+    "int-beyond-float64": [1.0, 2.0, -(10**400), 1.0],  # a float64 conversion overflows
 }
 ONES = np.ones(4)
 
@@ -132,6 +135,57 @@ class TestValidation:
         kind = "matrix" if call is as_matrix else "signal"
         with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
             call(entries)
+
+    @pytest.mark.parametrize(
+        "call, entries",
+        [
+            (as_signal, [True, 2.0]),
+            (as_signal, [1.0, None]),
+            (as_signal, [np.True_, 2.0]),
+            (as_signal, np.array([True, False])),
+            (as_signal, np.array(["2020-01-01"], "datetime64[D]")),
+            (as_signal, np.array([1, 2], "timedelta64[s]")),
+            (as_signal, np.array([1.0, None], dtype=object)),
+            (as_signal, np.array([1.0, True], dtype=object)),
+            (as_matrix, [[1.0, 2.0], [False, 4.0]]),
+            (as_matrix, np.array([[True, False]])),
+            (as_matrix, np.array([["2020-01-01"]], "datetime64[D]")),
+        ],
+        ids=[
+            "bool-entry", "none-entry", "numpy-bool-entry", "bool-array", "datetime64",
+            "timedelta64", "object-none", "object-bool", "matrix-bool", "matrix-bool-array",
+            "matrix-datetime64",
+        ],  # fmt: skip
+    )
+    def test_bool_null_and_time_entries_are_refused(self, call, entries):
+        # float64 conversion would read them as 1, 0, NaN or a count of days.
+        kind = "matrix" if call is as_matrix else "signal"
+        with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
+            call(entries)
+
+    @pytest.mark.parametrize("bad", [True, False, None], ids=["true", "false", "null"])
+    @pytest.mark.parametrize("reader", ["signal", "matrix", "pair", "certificate"])
+    def test_json_bool_and_null_entries_are_refused(self, reader, bad):
+        pair = shift_ambiguity([1.0, 0.0], [0.0, 2.0]).to_json()
+        pair["y_alt"]["entries"][0] = bad
+        obj, load, kind = {
+            "signal": ({"len": 2, "entries": [bad, 2.0]}, signal_from_json, "signal"),
+            "matrix": ({"m": 1, "n": 2, "entries": [[2.0, bad]]}, matrix_from_json, "matrix"),
+            "pair": (pair, AmbiguousPair.from_json, "signal"),
+            "certificate": (
+                {"kind": "n0", "u": [1.0, bad], "v": [1.0]}, certificate_from_json, "signal"
+            ),
+        }[reader]
+        with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
+            load(json.loads(json.dumps(obj)))
+
+    def test_float64_arrays_skip_the_entry_type_scan(self, monkeypatch):
+        def scanned(entries):
+            raise AssertionError("a float64 array was scanned")
+
+        monkeypatch.setattr(core, "_all_real", scanned)
+        assert as_signal(np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+        assert as_matrix(np.eye(2)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_non_float64_real_inputs_convert_exactly(self):
         for x in ([1, 2, 3], np.float32([1.5, 2.0]), np.array([1.0, 2.5]).astype(">f8")):
