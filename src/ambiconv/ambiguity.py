@@ -31,6 +31,7 @@ from .core import (
     ToleranceProfile,
     _convolve,
     _finite_scalar,
+    _frozen,
     _peak,
     _real_scalar,
     _signal,
@@ -175,14 +176,10 @@ def rotational_family(
 
 def _rotated(a, b, c: float, s: float) -> np.ndarray:
     """``c a - s b`` of trusted arrays, frozen; ``ValueError`` if it
-    overflows float64."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out = c * a - s * b
-    except FloatingPointError:
-        raise ValueError("the rotated pairs overflow float64: rescale the seed pairs") from None
-    out.flags.writeable = False
-    return out
+    overflows float64 (an overflowing product leaves an inf or NaN in it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = c * a - s * b
+    return _frozen(out, "the rotated pairs overflow float64: rescale the seed pairs")[0]
 
 
 def shift_ambiguity(x, y) -> AmbiguousPair:
@@ -237,11 +234,10 @@ def bordered_y_form(v, angle: float) -> np.ndarray:
 
     Entrywise ``sin(angle) * (0, v) - cos(angle) * (v, 0)``, which equals
     ``-reconstruct(v, angle)``; the test suite validates it against the
-    forward map.
+    forward map.  An output that overflows float64 raises ``ValueError``.
     """
     out = -_bordered(as_signal(v), _finite_scalar(angle, "angle"))
-    out.flags.writeable = False
-    return out
+    return _frozen(out, "the bordered product overflows float64: rescale v")[0]
 
 
 def attack(x, y, tol: ToleranceProfile | None = None) -> AmbiguousPair:

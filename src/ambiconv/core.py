@@ -15,11 +15,12 @@ with the same bits: the gufuncs of ``numpy.linalg._umath_linalg`` behind
 ``array_function_dispatch`` wrapper.
 
 Operands are validated at the public boundary only, each in one reduction:
-``_signal`` and ``_matrix`` copy the input and take its peak (largest
-|entry|) with ``_peak``, one ``argmax`` over the absolute values, which
-is also the finiteness test, ``peak < inf``: ``argmax`` returns the first
-NaN from any position, as ``abs().max()`` propagates it, while Python's
-``max`` skips one that follows a larger entry.  The copy keeps the input's
+``_signal`` and ``_matrix`` copy the input, and ``_frozen``, the one finite
+check of operands and of results (a correlation sets no floating-point
+flag), takes its peak (largest |entry|) with ``_peak``: one ``argmax`` over
+the absolute values finds the first NaN from any position, as
+``abs().max()`` propagates it, where Python's ``max`` skips one after a
+larger entry; the test is ``peak < inf``.  The copy keeps the input's
 dtype, so complex entries are refused rather than silently dropped to their
 real part; a float64 input pays one dtype check for this.
 """
@@ -34,14 +35,23 @@ from numpy._core.multiarray import correlate2 as _correlate2
 from numpy.linalg._umath_linalg import svd as _svd
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+# Entries a float64 conversion reads as numbers although they are none: it
+# parses a string, reads True as 1, None as NaN and a date as a day count.
+_NOT_REAL = (str, bytes, bool, np.bool_, type(None), np.datetime64, np.timedelta64)
+
+
 def _real_scalar(value, name: str) -> float:
     """A scalar parameter as a float, naming it in a ``ValueError`` unless it
-    is one real number: ``float`` alone raises a bare ``TypeError`` on a
-    complex number or a list, truncates a numpy complex one, parses a string."""
+    is one real number by the entries' ``_NOT_REAL`` rule: ``float`` alone
+    raises a bare ``TypeError`` on a list, truncates a numpy complex number."""
     try:
-        if isinstance(value, (str, bytes, complex, np.complexfloating)):
+        if isinstance(value, (*_NOT_REAL, complex, np.complexfloating)):
             raise TypeError
         return float(value)
+    except OverflowError:  # an integer beyond float64, as JSON's 1e400 is inf
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
@@ -88,7 +98,7 @@ def _signal(x) -> tuple[np.ndarray, float]:
     arr = _real(x, "signal")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"signal must be 1-D with length >= 1, got shape {arr.shape}")
-    return _frozen(arr, "signal")
+    return _frozen(arr, "signal entries must be finite")
 
 
 def _finite_scalar(value, name: str) -> float:
@@ -109,14 +119,7 @@ def _matrix(w) -> tuple[np.ndarray, float]:
     arr = _real(w, "matrix")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be 2-D with m, n >= 1, got shape {arr.shape}")
-    return _frozen(arr, "matrix")
-
-
-_FLOAT64 = np.dtype(np.float64)
-
-# Entries a float64 conversion reads as numbers although they are none: it
-# parses a string, reads True as 1, None as NaN and a date as a day count.
-_NOT_REAL = (str, bytes, bool, np.bool_, type(None), np.datetime64, np.timedelta64)
+    return _frozen(arr, "matrix entries must be finite")
 
 
 def _real(x, kind: str) -> np.ndarray:
@@ -125,12 +128,15 @@ def _real(x, kind: str) -> np.ndarray:
     (arrays) or refuses them with a bare ``TypeError`` (sequences), and reads
     the ``_NOT_REAL`` entries as numbers.  An array is judged by its dtype,
     an object array also by its entry types, and a sequence by its entry
-    types, since numpy reads ``[True, 2.0]`` as float64."""
+    types, since numpy reads ``[True, 2.0]`` as float64.  A masked entry is
+    refused, tested on array subclasses only, so no plain input loads numpy.ma."""
     arr = np.array(x, copy=True)
     if arr.dtype is _FLOAT64 and type(x) is np.ndarray:
         return arr
     entries = arr if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    if arr.dtype.kind not in "fiuO" or (entries.dtype.kind == "O" and not _all_real(entries)):
+    masked = type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x)
+    real_types = entries.dtype.kind != "O" or _all_real(entries)
+    if masked or arr.dtype.kind not in "fiuO" or not real_types:
         raise ValueError(f"{kind} entries must be real numbers")
     try:
         return arr.astype(_FLOAT64, copy=False)
@@ -141,17 +147,20 @@ def _real(x, kind: str) -> np.ndarray:
 
 
 def _all_real(entries: np.ndarray) -> bool:
-    """Whether no entry of an object array is a ``_NOT_REAL`` instance,
-    testing each distinct entry type once."""
-    return not any(issubclass(t, _NOT_REAL) for t in set(map(type, entries.flat)))
+    """Whether no entry of an object array, nor the dtype of a 0-d array
+    entry, is a ``_NOT_REAL`` type, testing each distinct type once."""
+    types = set(map(type, entries.flat))
+    if np.ndarray in types:
+        types |= {e.dtype.type for e in entries.flat if type(e) is np.ndarray}
+    return not any(issubclass(t, _NOT_REAL) for t in types)
 
 
-def _frozen(arr: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
-    """A fresh operand array, frozen, and its peak; ``ValueError`` unless
-    the peak, NaN for any NaN entry, is below inf."""
+def _frozen(arr: np.ndarray, message: str) -> tuple[np.ndarray, float]:
+    """A fresh operand or result array, frozen, and its peak; ``ValueError``
+    unless the peak, NaN for any NaN entry, is below inf."""
     peak = _peak(arr)
     if not peak < math.inf:
-        raise ValueError(f"{kind} entries must be finite")
+        raise ValueError(message)
     arr.setflags(write=False)
     return arr, peak
 
@@ -170,11 +179,7 @@ def convolve(x, y) -> np.ndarray:
     An output that overflows float64 raises ``ValueError``.
     """
     out = _convolve(as_signal(x), as_signal(y))
-    # A correlation sets no floating-point flag, so the output itself is tested.
-    if not np.isfinite(out).all():
-        raise ValueError("the convolution overflows float64: rescale x or y")
-    out.setflags(write=False)
-    return out
+    return _frozen(out, "the convolution overflows float64: rescale x or y")[0]
 
 
 def _convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     ToleranceProfile,
     _correlate2,
     _finite_scalar,
+    _frozen,
     _signal,
     as_signal,
 )
@@ -63,10 +64,7 @@ def reconstruct(w_star, gamma: float) -> np.ndarray:
     """Forward map: w(j) = w_star(j) cos(gamma) - w_star(j-1) sin(gamma), one
     entry longer than ``w_star``; ``ValueError`` if it overflows float64."""
     out = _bordered(as_signal(w_star), _finite_scalar(gamma, "gamma"))
-    if not np.isfinite(out).all():
-        raise ValueError("the reconstruction overflows float64: rescale w_star")
-    out.flags.writeable = False
-    return out
+    return _frozen(out, "the reconstruction overflows float64: rescale w_star")[0]
 
 
 def _bordered(ws, gamma: float) -> np.ndarray:

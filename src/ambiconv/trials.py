@@ -39,7 +39,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .ambiguity import _attack, _certifies
 from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _lift, _peak, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
-from .quotient import quotient_decompose, reconstruct
+from .quotient import _bordered, quotient_decompose, reconstruct
 
 ATTACK_RESIDUAL_REL = 1e-8
 QUOTIENT_RESIDUAL_REL = 1e-8
@@ -282,7 +282,7 @@ def quotient_suite(n_trials: int, seed: int, tol: ToleranceProfile | None = None
     def errors(w: np.ndarray) -> tuple[list[float], float]:
         """Reconstruction errors of the decomposition of w, and max|w|."""
         elements = quotient_decompose(w, tol)
-        errs = [_peak(reconstruct(e.w_star, e.gamma) - w) for e in elements]
+        errs = [_peak(_bordered(e.w_star, e.gamma) - w) for e in elements]
         return errs, _peak(w)
 
     rngs = _trial_rngs(seed, n_trials + max(1, n_trials // 5))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,14 @@ class TestBorderedYFormIdentity:
         lead = np.array([0.0, 2.0, -1.0, 0.5])
         trail = np.array([2.0, -1.0, 0.5, 0.0])
         assert np.array_equal(got, math.sin(a) * lead - math.cos(a) * trail)
+
+    def test_overflowing_output_is_refused(self):
+        # It returned -inf here, while reconstruct, its negation, refused.
+        message = "^the bordered product overflows float64: rescale v$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                bordered_y_form([1.5e308, 1.5e308], -math.pi / 4)
 
 
 class TestAttack:

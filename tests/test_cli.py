@@ -570,6 +570,18 @@ class TestErrorPaths:
         assert error["code"] == "bad-signal"
         assert error["message"] == f"signal entries must be {message}"
 
+    def test_integer_beyond_float64_scalar_reads_as_1e400(self, tmp_path, capsys):
+        # The integer spelling ended in an OverflowError traceback, exit 1.
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        text = json.dumps({**AmbiguousPair(x, x, -x, -x, 0.0, 0.0).to_json(), "residual": 0})
+        results = []
+        for spelling in ("1e400", "1" + "0" * 400):
+            path = tmp_path / "pair.json"
+            path.write_text(text.replace('"residual": 0', f'"residual": {spelling}'))
+            results.append(run(capsys, ["verify", "--pair", str(path)]))
+        # A collinear pair: a report that does not certify, exit 1, and no error.
+        assert results[0] == results[1] and results[0][1] and not results[0][2]
+
     def test_schema_violation_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"len": 3, "entries": [1.0]}))
@@ -685,6 +697,7 @@ class TestErrorPaths:
             ("classify", "m", 2.5, "bad-matrix"),
             ("classify", "n", True, "bad-matrix"),
             ("verify", "residual", [0.0], "bad-pair"),
+            ("verify", "residual", True, "bad-pair"),
             ("verify", "collinearity", None, "bad-pair"),
         ],
     )

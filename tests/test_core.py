@@ -150,15 +150,18 @@ class TestValidation:
             (as_matrix, [[1.0, 2.0], [False, 4.0]]),
             (as_matrix, np.array([[True, False]])),
             (as_matrix, np.array([["2020-01-01"]], "datetime64[D]")),
+            (as_signal, [np.array(True), 2.0]),
+            (as_signal, np.ma.array([1.0, 2.0], mask=[0, 1])),
         ],
         ids=[
             "bool-entry", "none-entry", "numpy-bool-entry", "bool-array", "datetime64",
             "timedelta64", "object-none", "object-bool", "matrix-bool", "matrix-bool-array",
-            "matrix-datetime64",
+            "matrix-datetime64", "0d-bool-entry", "masked-entry",
         ],  # fmt: skip
     )
     def test_bool_null_and_time_entries_are_refused(self, call, entries):
-        # float64 conversion would read them as 1, 0, NaN or a count of days.
+        # float64 conversion would read them as 1, 0, NaN or a count of days,
+        # and a masked entry as the value under its mask.
         kind = "matrix" if call is as_matrix else "signal"
         with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
             call(entries)
@@ -231,24 +234,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             x[0] = 3.0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+            (-float("inf"), "-inf"),
+            # float() raised a bare OverflowError here; JSON's 1e400 reads as inf.
+            (10**400, "inf"),
+            (-(10**400), "-inf"),
+        ],
+        ids=["nan", "inf", "-inf", "int-beyond-float64", "minus-int-beyond-float64"],
+    )
     @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
-    def test_nonfinite_scalar_parameter_rejected_by_name(self, name, bad):
-        with pytest.raises(ValueError, match=name):
+    def test_nonfinite_scalar_parameter_rejected_by_name(self, name, bad, shown):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             SCALAR_PARAMETER_CALLS[name](bad)
 
     @pytest.mark.parametrize(
         "bad",
-        [1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x", "0.5"],
+        [
+            *(1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x", "0.5"),
+            *(True, np.bool_(True)),
+        ],
         ids=[
-            "complex", "imaginary", "complex64", "0d-complex", "list", "array", "str", "numeric-str"
+            *("complex", "imaginary", "complex64", "0d-complex", "list", "array", "str"),
+            *("numeric-str", "true", "numpy-bool"),
         ],
     )
     @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
     def test_non_real_scalar_parameter_rejected_by_name(self, name, bad):
         # float() alone raised a bare TypeError here, truncated a numpy
-        # complex scalar to its real part with a ComplexWarning, or parsed a
-        # numeric string.
+        # complex scalar to its real part with a ComplexWarning, parsed a
+        # numeric string, or read True as 1.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
@@ -268,7 +286,7 @@ class TestValidation:
         assert ToleranceProfile(rel_tol=1e-12).rel_tol == 1e-12
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None]
+        "bad", [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None, True]
     )
     @pytest.mark.parametrize(
         "field, refusal",

@@ -774,6 +774,15 @@ class TestCertificates:
                 "certificate level 1 (m2): lambda must be a real number, got [2.0]",
             ),
             (
+                {"kind": "m2", "u": [1.0], "lambda": True},
+                "certificate level 1 (m2): lambda must be a real number, got True",
+            ),
+            (
+                # An integer beyond float64 reads as inf, as JSON's 1e400 does.
+                {"kind": "m2", "u": [1.0], "lambda": 10**400},
+                "certificate level 1 (m2): lambda must be finite and nonzero, got inf",
+            ),
+            (
                 {"kind": "m2", "u": [0.0, 0.0], "lambda": 2.0},
                 "certificate level 1 (m2): u must be nonzero",
             ),
@@ -845,6 +854,7 @@ class TestCertificates:
         ],
         ids=[
             *("n2-u", "nested-n2-v", "m2-nan", "nested-m2-zero", "m2-inf", "m2-list-lambda"),
+            *("m2-bool-lambda", "m2-int-beyond-float64"),
             *("m2-zero-u", "n0-under-n2", "n2-under-n2", "m2-under-n2"),
             *("no-levels", "levels-not-list", "row-not-object", "n2-bottom"),
             *("n2-overflow", "nested-n2-sum-overflow", "m2-overflow", "nested-m2-overflow"),
