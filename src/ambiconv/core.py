@@ -20,9 +20,9 @@ check of operands and of results (a correlation sets no floating-point
 flag), takes its peak (largest |entry|) with ``_peak``: one ``argmax`` over
 the absolute values finds the first NaN from any position, as
 ``abs().max()`` propagates it, where Python's ``max`` skips one after a
-larger entry; the test is ``peak < inf``.  The copy keeps the input's
-dtype, so complex entries are refused rather than silently dropped to their
-real part; a float64 input pays one dtype check for this.
+larger entry; the test is ``peak < inf``.  One whitelist, ``_is_real``,
+judges every entry, scalar and integer before a float64 conversion could
+read ``"1.5"``, ``True`` or ``None`` as a number; float64 arrays skip it.
 """
 
 from __future__ import annotations
@@ -37,23 +37,27 @@ from numpy.linalg._umath_linalg import svd as _svd
 
 _FLOAT64 = np.dtype(np.float64)
 
-# Entries a float64 conversion reads as numbers although they are none: it
-# parses a string, reads True as 1, None as NaN and a date as a day count.
-_NOT_REAL = (str, bytes, bool, np.bool_, type(None), np.datetime64, np.timedelta64)
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is one real number: a Python ``int`` or ``float``
+    (``np.float64`` is one) but no ``bool``, or a numpy scalar or plain 0-d
+    array of dtype kind f, i or u (``np.integer`` holds ``timedelta64``)."""
+    if isinstance(value, (int, float)):
+        return type(value) is not bool
+    if isinstance(value, np.generic) or type(value) is np.ndarray and value.ndim == 0:
+        return value.dtype.kind in "fiu"
+    return False
 
 
 def _real_scalar(value, name: str) -> float:
-    """A scalar parameter as a float, naming it in a ``ValueError`` unless it
-    is one real number by the entries' ``_NOT_REAL`` rule: ``float`` alone
-    raises a bare ``TypeError`` on a list, truncates a numpy complex number."""
+    """A scalar parameter as a float; ``ValueError`` naming it unless it is
+    real (``_is_real``).  An integer beyond float64 reads as ±inf, as 1e400."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        if isinstance(value, (*_NOT_REAL, complex, np.complexfloating)):
-            raise TypeError
         return float(value)
-    except OverflowError:  # an integer beyond float64, as JSON's 1e400 is inf
+    except OverflowError:
         return math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -123,36 +127,32 @@ def _matrix(w) -> tuple[np.ndarray, float]:
 
 
 def _real(x, kind: str) -> np.ndarray:
-    """A fresh float64 array of ``x``; ``ValueError`` unless each entry is a
-    real number.  A float64 conversion drops complex entries with a warning
-    (arrays) or refuses them with a bare ``TypeError`` (sequences), and reads
-    the ``_NOT_REAL`` entries as numbers.  An array is judged by its dtype,
-    an object array also by its entry types, and a sequence by its entry
-    types, since numpy reads ``[True, 2.0]`` as float64.  A masked entry is
-    refused, tested on array subclasses only, so no plain input loads numpy.ma."""
-    arr = np.array(x, copy=True)
-    if arr.dtype is _FLOAT64 and type(x) is np.ndarray:
-        return arr
-    entries = arr if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    masked = type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x)
-    real_types = entries.dtype.kind != "O" or _all_real(entries)
-    if masked or arr.dtype.kind not in "fiuO" or not real_types:
+    """A fresh float64 array of ``x``, a real number or a list, tuple or plain
+    array of them (``_real_entries``); a plain float64 array skips the scan."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return np.array(x, copy=True)
+    if not _real_entries(x):
         raise ValueError(f"{kind} entries must be real numbers")
     try:
-        return arr.astype(_FLOAT64, copy=False)
-    except TypeError:  # an object array holding a complex or non-number
-        raise ValueError(f"{kind} entries must be real numbers") from None
+        return np.array(x, dtype=_FLOAT64)
+    except ValueError:  # the one fault the entries leave: rows of unequal shapes
+        raise ValueError(f"{kind} entries must form a rectangular array, not ragged rows") from None
     except OverflowError:  # an integer beyond float64, as a JSON 1e400 is inf
         raise ValueError(f"{kind} entries must be finite") from None
 
 
-def _all_real(entries: np.ndarray) -> bool:
-    """Whether no entry of an object array, nor the dtype of a 0-d array
-    entry, is a ``_NOT_REAL`` type, testing each distinct type once."""
-    types = set(map(type, entries.flat))
-    if np.ndarray in types:
-        types |= {e.dtype.type for e in entries.flat if type(e) is np.ndarray}
-    return not any(issubclass(t, _NOT_REAL) for t in types)
+def _real_entries(x, depth: int = 1) -> bool:
+    """Whether ``x`` is real, or a list, tuple or plain array whose entries,
+    nested at most as deep as numpy's 64 dimensions, are: an array by its dtype
+    kind, an object array entry by entry, a flat sequence once per item type."""
+    if type(x) is np.ndarray:
+        return x.dtype.kind in "fiu" or x.dtype.kind == "O" and all(map(_is_real, x.flat))
+    if type(x) is not list and type(x) is not tuple:
+        return _is_real(x)
+    types = set(map(type, x))
+    if types & {list, tuple, np.ndarray}:
+        return depth < 64 and all(_real_entries(item, depth + 1) for item in x)
+    return all(_is_real(next(item for item in x if type(item) is t)) for t in types)
 
 
 def _frozen(arr: np.ndarray, message: str) -> tuple[np.ndarray, float]:
@@ -305,12 +305,12 @@ def signal_to_json(x) -> dict:
 
 
 def _exact_int(value, name: str) -> int:
-    """An integer argument or JSON field, read exactly (``4.0`` passes): ``int``
-    would read ``4.5`` or ``True`` and refuse ``[4]`` with a bare ``TypeError``."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
+    """An integer argument or JSON field: a real number that is integral, so
+    ``4.0`` passes, where ``int`` would read ``4.5`` or ``True`` as one."""
+    if _is_real(value):
+        number = value if isinstance(value, (int, float)) else value.item()
+        if isinstance(number, int) or number.is_integer():
+            return int(number)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .ambiguity import _attack, _certifies
-from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _lift, _peak, _rank
+from .core import DEFAULT_TOL, SUITES, ToleranceProfile, _exact_int, _lift, _peak, _rank
 from .nullspace import kernel_basis, m2_element, n2_generate, n0_element
 from .quotient import _bordered, quotient_decompose, reconstruct
 
@@ -205,7 +204,6 @@ class _StateSeed(ISeedSequence):
 def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     """``trial_rng(seed, k)`` for ``k`` in ``range(count)``, each seeded from
     its row of one vectorized pass over a chunk of indices."""
-    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if count > 2**32:
@@ -397,6 +395,7 @@ def run_suite(
     nmax: int = 10,
     tol: ToleranceProfile | None = None,
 ) -> TrialReport:
+    seed = _exact_int(seed, "seed")
     if suite == "attack":
         return attack_suite(n_trials, seed, tol)
     if suite == "quotient":

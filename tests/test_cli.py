@@ -556,6 +556,16 @@ class TestErrorPaths:
         assert error["code"] == "bad-signal"
         assert error["message"] == "signal entries must be real numbers"
 
+    def test_ragged_rows_are_bad_matrix(self, tmp_path, capsys):
+        # numpy's own message, about an "inhomogeneous shape", names no kind.
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"m": 2, "n": 2, "entries": [[1.0, 2.0], [3.0]]}))
+        code, out, err = run(capsys, ["lift", "--matrix", str(p)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-matrix"
+        assert error["message"] == "matrix entries must form a rectangular array, not ragged rows"
+
     @pytest.mark.parametrize(
         "bad, message",
         [(True, "real numbers"), (None, "real numbers"), (10**400, "finite")],

@@ -1,5 +1,8 @@
+import itertools
 import json
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,16 +155,21 @@ class TestValidation:
             (as_matrix, np.array([["2020-01-01"]], "datetime64[D]")),
             (as_signal, [np.array(True), 2.0]),
             (as_signal, np.ma.array([1.0, 2.0], mask=[0, 1])),
+            (as_matrix, [np.ma.array([1.0, 2.0], mask=[0, 1]), [3.0, 4.0]]),
+            (as_signal, np.ma.array([1.0, 2.0])),
+            (as_signal, bytearray(b"ab")),
         ],
         ids=[
             "bool-entry", "none-entry", "numpy-bool-entry", "bool-array", "datetime64",
             "timedelta64", "object-none", "object-bool", "matrix-bool", "matrix-bool-array",
-            "matrix-datetime64", "0d-bool-entry", "masked-entry",
+            "matrix-datetime64", "0d-bool-entry", "masked-entry", "masked-row",
+            "unmasked-masked-array", "bytearray",
         ],  # fmt: skip
     )
     def test_bool_null_and_time_entries_are_refused(self, call, entries):
         # float64 conversion would read them as 1, 0, NaN or a count of days,
-        # and a masked entry as the value under its mask.
+        # a masked entry as the value under its mask and bytes as their codes.
+        # An array subclass is refused whether or not an entry is masked.
         kind = "matrix" if call is as_matrix else "signal"
         with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
             call(entries)
@@ -182,11 +190,34 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{kind} entries must be real numbers$"):
             load(json.loads(json.dumps(obj)))
 
+    @pytest.mark.parametrize(
+        "call, entries",
+        [(as_matrix, [[1.0, 2.0], [3.0]]), (as_signal, [np.array([1.5]), 2.0])],
+        ids=["matrix-short-row", "signal-array-entry"],
+    )
+    def test_ragged_rows_are_refused_by_kind(self, call, entries):
+        # numpy's own message, about an "inhomogeneous shape", names no kind.
+        kind = "matrix" if call is as_matrix else "signal"
+        message = f"^{kind} entries must form a rectangular array, not ragged rows$"
+        with pytest.raises(ValueError, match=message):
+            call(entries)
+
+    @pytest.mark.parametrize("depth", [40, 65, 900])
+    def test_deeply_nested_entries_are_refused(self, depth):
+        # numpy's object arrays stop at 32 dimensions with a RuntimeError, and
+        # its arrays at 64; a walk of 900 levels would meet the recursion limit.
+        entries = 1.0
+        for _ in range(depth):
+            entries = [entries]
+        with pytest.raises(ValueError, match="^signal "):
+            signal_from_json(json.loads(json.dumps({"len": 1, "entries": entries})))
+
     def test_float64_arrays_skip_the_entry_type_scan(self, monkeypatch):
         def scanned(entries):
             raise AssertionError("a float64 array was scanned")
 
-        monkeypatch.setattr(core, "_all_real", scanned)
+        monkeypatch.setattr(core, "_real_entries", scanned)
+        monkeypatch.setattr(core, "_is_real", scanned)
         assert as_signal(np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
         assert as_matrix(np.eye(2)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -255,18 +286,21 @@ class TestValidation:
         "bad",
         [
             *(1 + 2j, 1j, np.complex64(1.0), np.array(1j), [0.5], np.array([0.5]), "x", "0.5"),
-            *(True, np.bool_(True)),
+            *(True, np.bool_(True), np.array(True), np.timedelta64(1, "s"), np.ma.masked),
+            Fraction(1, 2),
         ],
         ids=[
             *("complex", "imaginary", "complex64", "0d-complex", "list", "array", "str"),
-            *("numeric-str", "true", "numpy-bool"),
+            *("numeric-str", "true", "numpy-bool", "0d-bool", "timedelta64", "masked"),
+            "fraction",
         ],
     )
     @pytest.mark.parametrize("name", sorted(SCALAR_PARAMETER_CALLS))
     def test_non_real_scalar_parameter_rejected_by_name(self, name, bad):
         # float() alone raised a bare TypeError here, truncated a numpy
         # complex scalar to its real part with a ComplexWarning, parsed a
-        # numeric string, or read True as 1.
+        # numeric string, read True (also as a 0-d array) as 1, a masked
+        # constant as NaN with a warning, or a Fraction as its value.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
@@ -286,7 +320,8 @@ class TestValidation:
         assert ToleranceProfile(rel_tol=1e-12).rel_tol == 1e-12
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None, True]
+        "bad",
+        [float("nan"), float("inf"), -float("inf"), "1e-3", 1j, [1e-3], None, True, np.array(True)],
     )
     @pytest.mark.parametrize(
         "field, refusal",
@@ -414,7 +449,9 @@ class TestHankelBasis:
         # bool is refused with a ValueError naming the argument.
         want = [s.tobytes() for s in hankel_basis(3, 4)]
         assert [s.tobytes() for s in hankel_basis(3.0, np.int64(4))] == want
-        for m, n, name in ((2.5, 3, "m"), (3, True, "n"), (False, 3, "m"), ("3", 4, "m")):
+        assert [s.tobytes() for s in hankel_basis(np.array(3), np.float32(4.0))] == want
+        bad = ((2.5, 3, "m"), (3, True, "n"), (False, 3, "m"), ("3", 4, "m"))
+        for m, n, name in (*bad, (np.timedelta64(3, "s"), 4, "m"), (True, 4, "m")):
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 hankel_basis(m, n)
 
@@ -598,6 +635,52 @@ class TestOuterAndRank:
             assert rank_estimate(w) == 2
 
 
+# Every kind of JSON value one position of a file can hold.
+JSON_ATOMS = [1, 1.5, -0.0, 10**400, True, False, None, "1", [], {}, [1.0]]
+
+
+def _number(atom):
+    return type(atom) in (int, float)  # JSON's true and false are no numbers
+
+
+def _finite(atom):
+    return _number(atom) and abs(atom) <= sys.float_info.max  # 10**400 reads as inf
+
+
+def _one(atom):
+    return _number(atom) and atom == 1
+
+
+def _pair_json(x_alt_entry, residual):
+    pair = shift_ambiguity([1.0, 0.0], [0.0, 2.0]).to_json()
+    pair["x_alt"]["entries"][0] = x_alt_entry
+    return {**pair, "residual": residual}
+
+
+# Each reader with atoms in its slots, and the rule each slot's atom must pass.
+JSON_SLOTS = {
+    "signal": (lambda a, b: (signal_from_json, {"len": 2, "entries": [a, b]}), (_finite,) * 2),
+    "matrix-1x2": (
+        lambda a, b: (matrix_from_json, {"m": 1, "n": 2, "entries": [[a, b]]}), (_finite,) * 2
+    ),
+    "matrix-2x1": (
+        lambda a, b: (matrix_from_json, {"m": 2, "n": 1, "entries": [[a], [b]]}), (_finite,) * 2
+    ),
+    "pair": (lambda a, b: (AmbiguousPair.from_json, _pair_json(a, b)), (_finite, _number)),
+    "n0-u": (
+        lambda a, b: (certificate_from_json, {"kind": "n0", "u": [a, b], "v": [1.0]}),
+        (_finite,) * 2,
+    ),
+    "m2-lambda": (
+        lambda a: (certificate_from_json, {"kind": "m2", "u": [1.0], "lambda": a}),
+        (lambda atom: _finite(atom) and atom != 0,),
+    ),
+    "len": (lambda a: (signal_from_json, {"len": a, "entries": [1.0]}), (_one,)),
+    "m": (lambda a: (matrix_from_json, {"m": a, "n": 1, "entries": [[1.0]]}), (_one,)),
+    "n": (lambda a: (matrix_from_json, {"m": 1, "n": a, "entries": [[1.0]]}), (_one,)),
+}
+
+
 class TestJson:
     def test_signal_round_trip(self):
         x = as_signal([1.5, -2.0, 0.0])
@@ -642,3 +725,17 @@ class TestJson:
         with pytest.raises(ValueError, match=f'matrix JSON "{field}" must be an integer'):
             matrix_from_json({**obj, field: value})
         assert matrix_from_json({**obj, field: 1.0}).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("reader", sorted(JSON_SLOTS))
+    def test_json_atoms_are_accepted_iff_real_numbers(self, reader):
+        # JSON holds ints, floats, bools, null, strings, lists and objects, so
+        # putting each of them in each slot pins every verdict of the readers.
+        build, rules = JSON_SLOTS[reader]
+        for atoms in itertools.product(JSON_ATOMS, repeat=len(rules)):
+            load, obj = build(*atoms)
+            obj = json.loads(json.dumps(obj))
+            if all(rule(atom) for rule, atom in zip(rules, atoms)):
+                load(obj)
+            else:
+                with pytest.raises(ValueError):
+                    load(obj)

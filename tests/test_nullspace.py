@@ -238,6 +238,7 @@ class TestN2Generate:
         matrix, _ = n2_generate(5, 7, 3)
         assert n2_generate(np.int32(5), 7.0, np.uint64(3))[0].tobytes() == matrix.tobytes()
         bad = ((3.5, 4, 0, "m"), (3, True, 0, "n"), (3, 4, 1.5, "seed"), (3, 4, True, "seed"))
+        bad += ((np.timedelta64(3, "s"), 4, 0, "m"), (3, 4, np.timedelta64(3, "s"), "seed"))
         for m, n, seed, name in bad:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 n2_generate(m, n, seed)
@@ -377,7 +378,8 @@ class TestKernelBasis:
     def test_dimensions_are_exact_integers(self):
         want = [q.tobytes() for q in kernel_basis(3, 4)]
         assert [q.tobytes() for q in kernel_basis(3.0, np.uint8(4))] == want
-        for m, n, name in ((True, 3, "m"), (3, 2.5, "n"), (3, [4], "n")):
+        bad = ((True, 3, "m"), (3, 2.5, "n"), (3, [4], "n"), (np.timedelta64(3, "s"), 3, "m"))
+        for m, n, name in bad:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 kernel_basis(m, n)
 

@@ -89,3 +89,14 @@ def test_campaign_runs_with_warnings_as_errors():
         warnings.simplefilter("error")
         report = trials.attack_suite(300, 1)
     assert report.trials == 300 and report.all_ok
+
+
+def test_run_suite_reads_the_seed_as_an_exact_integer():
+    # Passed on as given, True would reach the report as "seed": true, and
+    # 4.0 would end in a bare TypeError.
+    report = trials.run_suite("attack", n_trials=2, seed=4.0)
+    assert type(report.seed) is int
+    assert report.to_json() == trials.run_suite("attack", n_trials=2, seed=4).to_json()
+    for bad in (True, 4.5, "4", np.timedelta64(4, "s")):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            trials.run_suite("attack", n_trials=2, seed=bad)
